@@ -4,7 +4,7 @@ Layout::
 
     ring        consistent-hash ring over content-addressed sim keys
     supervisor  spawns/probes/restarts N broker shard subprocesses
-    router      asyncio HTTP front end: cache short-circuit + forwarding
+    router      the HTTP backend: cache short-circuit + forwarding
 
 One ``repro cluster`` process runs the supervisor and the router in a
 single event loop.  The supervisor owns N ``repro serve`` subprocesses

@@ -1,6 +1,8 @@
 """The cluster's public HTTP front end: cache short-circuit + forwarding.
 
-The router owns the one port clients talk to.  Every ``POST
+The router owns the one port clients talk to.  It is the second backend
+of :class:`~repro.serve.http.HttpListener`: the listener parses and
+routes, the router supplies the handlers.  Every ``POST
 /v1/simulate`` body is parsed (so malformed requests die at the edge
 with a 400 instead of burning a forward), keyed by its content-addressed
 :meth:`~repro.serve.protocol.SimulateRequest.sim_key`, and then:
@@ -21,7 +23,9 @@ Job ids returned to clients are prefixed with the owning shard
 (``s1:j000042``) so polls route back without any router-side state; a
 poll for a shard that restarted (and thus forgot the id) surfaces the
 broker's 404, which the client treats as "resubmit the request" —
-idempotent by key, and typically a cache hit by then.
+idempotent by key, and typically a cache hit by then.  Forwarded SSE
+frames are parsed and re-emitted with the same prefix, so the job id a
+terminal frame names can be polled at the router.
 
 ``GET /metrics`` aggregates: each healthy shard's exposition is parsed
 and summed metric-wise, then the router appends its own
@@ -37,7 +41,7 @@ from __future__ import annotations
 import asyncio
 import json
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, AsyncGenerator, Mapping
 
 from repro import obs
 from repro.common.errors import ReproError
@@ -51,10 +55,13 @@ from repro.obs.prometheus import (
 )
 from repro.cluster.ring import HashRing
 from repro.serve.http import (
-    HttpParseError,
-    read_http_request,
-    write_json,
-    write_raw,
+    Frame,
+    HttpListener,
+    Reply,
+    Response,
+    fetch,
+    open_upstream,
+    read_events,
 )
 from repro.serve.protocol import (
     JobStatus,
@@ -69,17 +76,18 @@ from repro.serve.protocol import (
 FORWARD_TIMEOUT = 30.0
 #: ``Retry-After`` hint when the owning shard is down or unreachable.
 SHARD_RETRY_AFTER = 1.0
+#: Job-id prefix of a synthesized router-level cache hit.
+_CACHE_PREFIX = "cache:"
 
 
-class Router:
-    """Asyncio HTTP server routing requests across supervised shards."""
+class Router(HttpListener):
+    """The cluster backend: routes requests across supervised shards."""
 
     def __init__(self, supervisor: Any, host: str = "127.0.0.1",
                  port: int = 0, cache_dir: str | Path | None = None,
                  forward_timeout: float = FORWARD_TIMEOUT) -> None:
+        super().__init__(host, port)
         self.supervisor = supervisor
-        self.host = host
-        self.port = port
         self.forward_timeout = forward_timeout
         self.ring = HashRing(supervisor.shard_names())
         cache_root = Path(cache_dir if cache_dir is not None
@@ -92,150 +100,53 @@ class Router:
             "cluster.forwards": 0,
             "cluster.forward_failures": 0,
         }
-        self._server: asyncio.AbstractServer | None = None
-
-    async def start(self) -> None:
-        """Bind and serve; ``self.port`` holds the bound port."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
 
     def begin_drain(self) -> None:
         """Flip ``/readyz`` to 503 ahead of the shard drain."""
         self.draining = True
 
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    # -- connection handling ------------------------------------------------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            await self._handle_one(reader, writer)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except Exception as error:  # defensive: a router bug is a 500
-            try:
-                await write_json(writer, 500, error_body(
-                    "internal", f"unhandled router error: {error}"))
-            except ConnectionError:
-                pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except ConnectionError:
-                pass
-
-    async def _handle_one(self, reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> None:
-        try:
-            parsed = await read_http_request(reader)
-        except HttpParseError as error:
-            await write_json(writer, error.status, error.body)
-            return
-        if parsed is None:
-            return
-        method, path, _headers, body = parsed
+    def on_request(self) -> None:
         self.counters["cluster.requests"] += 1
-        if path == "/healthz" and method == "GET":
-            await self._handle_healthz(writer)
-        elif path == "/readyz" and method == "GET":
-            await self._handle_readyz(writer)
-        elif path == "/metrics" and method == "GET":
-            await self._handle_metrics(writer)
-        elif path == "/v1/simulate" and method == "POST":
-            await self._handle_simulate(writer, body)
-        elif path.startswith("/v1/jobs/") and method == "GET":
-            rest = path[len("/v1/jobs/"):]
-            if rest.endswith("/events"):
-                await self._handle_events(writer, rest[:-len("/events")])
-            else:
-                await self._handle_job(writer, rest)
-        else:
-            status = 405 if path in ("/v1/simulate", "/healthz", "/readyz",
-                                     "/metrics") else 404
-            await write_json(writer, status, error_body(
-                "routing", f"no route for {method} {path}"))
 
     # -- forwarding plumbing -------------------------------------------------
 
-    async def _forward(self, endpoint: tuple[str, int], method: str,
-                       path: str, body: bytes | None = None
-                       ) -> tuple[int, dict[str, str], bytes]:
-        """One ``Connection: close`` round trip to a shard."""
-        host, port = endpoint
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), self.forward_timeout)
-        try:
-            head = [f"{method} {path} HTTP/1.1",
-                    f"Host: {host}:{port}",
-                    "Connection: close"]
-            if body:
-                head.append("Content-Type: application/json")
-                head.append(f"Content-Length: {len(body)}")
-            writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
-            if body:
-                writer.write(body)
-            await writer.drain()
-
-            status_line = await asyncio.wait_for(reader.readline(),
-                                                 self.forward_timeout)
-            parts = status_line.decode("latin-1").split()
-            if len(parts) < 2 or not parts[1].isdigit():
-                raise OSError(f"shard sent a malformed status line "
-                              f"{status_line!r}")
-            status = int(parts[1])
-            headers: dict[str, str] = {}
-            while True:
-                line = await asyncio.wait_for(reader.readline(),
-                                              self.forward_timeout)
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            payload = await asyncio.wait_for(reader.read(),
-                                             self.forward_timeout)
-            return status, headers, payload
-        finally:
-            writer.close()
-
-    def _owner_endpoint(self, owner: str) -> tuple[str, int] | None:
-        return self.supervisor.endpoint(owner)
-
-    async def _shard_unavailable(self, writer: asyncio.StreamWriter,
-                                 owner: str, detail: str) -> None:
+    def _shard_unavailable(self, owner: str, detail: str) -> Response:
         self.counters["cluster.forward_failures"] += 1
-        await write_json(
-            writer, 503,
-            error_body("shard-unavailable",
-                       f"shard {owner} is unavailable ({detail}); "
-                       f"retry shortly",
-                       retry_after=SHARD_RETRY_AFTER),
-            extra_headers={"Retry-After":
-                           str(max(1, int(SHARD_RETRY_AFTER)))})
+        return Response.retry_later(
+            503, "shard-unavailable",
+            f"shard {owner} is unavailable ({detail}); retry shortly",
+            SHARD_RETRY_AFTER)
 
     @staticmethod
-    def _prefix_job_id(owner: str, payload: bytes) -> bytes:
-        """Rewrite a shard job body's id to the routed ``owner:id`` form."""
-        try:
-            document = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return payload
-        if (isinstance(document, dict)
-                and isinstance(document.get("job_id"), str)):
-            document["job_id"] = f"{owner}:{document['job_id']}"
-            return dumps(document)
-        return payload
+    def _prefix_job_id(owner: str, document: Any) -> Any:
+        """Route a shard document's ``job_id`` (and a terminal frame's
+        ``job.job_id``) back to the shard: ``owner:id``."""
+        if isinstance(document, dict):
+            for holder in (document, document.get("job")):
+                if (isinstance(holder, dict)
+                        and isinstance(holder.get("job_id"), str)):
+                    holder["job_id"] = f"{owner}:{holder['job_id']}"
+        return document
 
-    def _cached_view(self, key: str, result: Any) -> JobView:
-        """A synthesized terminal job for a router-level cache hit."""
+    def _relay(self, owner: str, status: int, headers: Mapping[str, str],
+               payload: bytes) -> Response:
+        """A shard's JSON answer, re-addressed to routed job ids."""
+        try:
+            payload = dumps(self._prefix_job_id(
+                owner, json.loads(payload.decode("utf-8"))))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            pass
+        extra = ({"Retry-After": headers["retry-after"]}
+                 if "retry-after" in headers else None)
+        return Response(status, payload, headers=extra)
+
+    def _cached_view(self, key: str) -> JobView | None:
+        """A synthesized terminal job for a cached result, if any."""
+        result = self.cache.get(key)
+        if result is None:
+            return None
         return JobView(
-            job_id=f"cache:{key}",
+            job_id=f"{_CACHE_PREFIX}{key}",
             status=JobStatus.DONE,
             workload=result.workload,
             prefetcher=result.prefetcher,
@@ -245,139 +156,110 @@ class Router:
             result=result.to_dict(),
         )
 
-    # -- endpoints ----------------------------------------------------------
+    def _locate(self, job_id: str
+                ) -> JobView | Response | tuple[str, str, tuple[str, int]]:
+        """A cache-backed job's view, ``(owner, shard-local id,
+        endpoint)`` for a shard's job, or the error to send."""
+        if job_id.startswith(_CACHE_PREFIX):
+            key = job_id[len(_CACHE_PREFIX):]
+            return self._cached_view(key) or Response.json(404, error_body(
+                "unknown-job",
+                f"cached result {key[:12]}… was evicted; resubmit"))
+        owner, separator, raw_id = job_id.partition(":")
+        if not separator or owner not in self.ring:
+            return Response.json(404, error_body(
+                "unknown-job", f"no such job {job_id!r} (cluster job ids "
+                f"look like <shard>:<id>)"))
+        endpoint = self.supervisor.endpoint(owner)
+        if endpoint is None:
+            return self._shard_unavailable(owner, "down or starting")
+        return owner, raw_id, endpoint
 
-    async def _handle_simulate(self, writer: asyncio.StreamWriter,
-                               body: bytes) -> None:
+    # -- handlers ------------------------------------------------------------
+
+    async def simulate(self, body: bytes) -> Response:
         try:
             request = SimulateRequest.from_dict(loads(body))
         except ReproError as error:
-            await write_json(writer, 400, error_body(
+            return Response.json(400, error_body(
                 type(error).__name__, str(error)))
-            return
         key = request.sim_key()
-        cached = self.cache.get(key)
-        if cached is not None:
+        view = self._cached_view(key)
+        if view is not None:
             self.counters["cluster.cache_hits"] += 1
-            await write_json(writer, 200,
-                             self._cached_view(key, cached).to_dict())
-            return
+            return Response.json(200, view.to_dict())
         owner = self.ring.owner(key)
-        endpoint = self._owner_endpoint(owner)
+        endpoint = self.supervisor.endpoint(owner)
         if endpoint is None:
-            await self._shard_unavailable(writer, owner, "down or starting")
-            return
+            return self._shard_unavailable(owner, "down or starting")
         self.counters["cluster.forwards"] += 1
         try:
             if faults.ACTIVE is not None:
                 await faults.ACTIVE.async_check("cluster.forward")
-            status, headers, payload = await self._forward(
-                endpoint, "POST", "/v1/simulate", body)
+            answer = await fetch(endpoint, "POST", "/v1/simulate", body,
+                                 timeout=self.forward_timeout)
         except (OSError, asyncio.TimeoutError, ReproError) as error:
-            await self._shard_unavailable(writer, owner, str(error))
-            return
-        extra = ({"Retry-After": headers["retry-after"]}
-                 if "retry-after" in headers else None)
-        await write_raw(writer, status, self._prefix_job_id(owner, payload),
-                        "application/json", extra)
+            return self._shard_unavailable(owner, str(error))
+        return self._relay(owner, *answer)
 
-    async def _handle_job(self, writer: asyncio.StreamWriter,
-                          job_id: str) -> None:
-        if job_id.startswith("cache:"):
-            key = job_id[len("cache:"):]
-            cached = self.cache.get(key)
-            if cached is None:
-                await write_json(writer, 404, error_body(
-                    "unknown-job",
-                    f"cached result {key[:12]}… was evicted; resubmit"))
-                return
-            await write_json(writer, 200,
-                             self._cached_view(key, cached).to_dict())
-            return
-        owner, separator, raw_id = job_id.partition(":")
-        if not separator or owner not in self.ring:
-            await write_json(writer, 404, error_body(
-                "unknown-job", f"no such job {job_id!r} (cluster job ids "
-                f"look like <shard>:<id>)"))
-            return
-        endpoint = self._owner_endpoint(owner)
-        if endpoint is None:
-            await self._shard_unavailable(writer, owner, "down or starting")
-            return
+    async def job(self, job_id: str) -> Response:
+        located = self._locate(job_id)
+        if isinstance(located, JobView):
+            return Response.json(200, located.to_dict())
+        if isinstance(located, Response):
+            return located
+        owner, raw_id, endpoint = located
         try:
-            status, headers, payload = await self._forward(
-                endpoint, "GET", f"/v1/jobs/{raw_id}")
+            answer = await fetch(endpoint, "GET", f"/v1/jobs/{raw_id}",
+                                 timeout=self.forward_timeout)
         except (OSError, asyncio.TimeoutError) as error:
-            await self._shard_unavailable(writer, owner, str(error))
-            return
-        extra = ({"Retry-After": headers["retry-after"]}
-                 if "retry-after" in headers else None)
-        await write_raw(writer, status, self._prefix_job_id(owner, payload),
-                        "application/json", extra)
+            return self._shard_unavailable(owner, str(error))
+        return self._relay(owner, *answer)
 
-    async def _handle_events(self, writer: asyncio.StreamWriter,
-                             job_id: str) -> None:
-        if job_id.startswith("cache:"):
-            await self._handle_cache_events(writer, job_id)
-            return
-        owner, separator, raw_id = job_id.partition(":")
-        if not separator or owner not in self.ring:
-            await write_json(writer, 404, error_body(
-                "unknown-job", f"no such job {job_id!r}"))
-            return
-        endpoint = self._owner_endpoint(owner)
-        if endpoint is None:
-            await self._shard_unavailable(writer, owner, "down or starting")
-            return
-        # Pipe the shard's response — status line, headers, and the SSE
-        # stream — byte-for-byte.  (Known cosmetic limit: job ids inside
-        # forwarded event payloads keep their shard-local form.)
+    async def events(self, job_id: str) -> Reply:
+        located = self._locate(job_id)
+        if isinstance(located, JobView):
+            return self._cached_frames(located)
+        if isinstance(located, Response):
+            return located
+        owner, raw_id, endpoint = located
         try:
-            upstream_reader, upstream_writer = await asyncio.wait_for(
-                asyncio.open_connection(*endpoint), self.forward_timeout)
+            status, headers, reader, writer = await open_upstream(
+                endpoint, "GET", f"/v1/jobs/{raw_id}/events",
+                timeout=self.forward_timeout)
         except (OSError, asyncio.TimeoutError) as error:
-            await self._shard_unavailable(writer, owner, str(error))
-            return
+            return self._shard_unavailable(owner, str(error))
+        if status == 200:
+            return self._forwarded_frames(owner, reader, writer)
         try:
-            upstream_writer.write(
-                (f"GET /v1/jobs/{raw_id}/events HTTP/1.1\r\n"
-                 f"Host: {endpoint[0]}:{endpoint[1]}\r\n"
-                 f"Connection: close\r\n\r\n").encode("latin-1"))
-            await upstream_writer.drain()
-            while True:
-                chunk = await upstream_reader.read(65536)
-                if not chunk:
-                    return
-                writer.write(chunk)
-                await writer.drain()
+            payload = await asyncio.wait_for(reader.read(),
+                                             self.forward_timeout)
+        except (OSError, asyncio.TimeoutError) as error:
+            return self._shard_unavailable(owner, str(error))
         finally:
-            upstream_writer.close()
+            writer.close()
+        return self._relay(owner, status, headers, payload)
 
-    async def _handle_cache_events(self, writer: asyncio.StreamWriter,
-                                   job_id: str) -> None:
+    @staticmethod
+    async def _cached_frames(view: JobView) -> AsyncGenerator[Frame, None]:
         """A cache-backed job's whole history is one terminal frame."""
-        key = job_id[len("cache:"):]
-        cached = self.cache.get(key)
-        if cached is None:
-            await write_json(writer, 404, error_body(
-                "unknown-job",
-                f"cached result {key[:12]}… was evicted; resubmit"))
-            return
-        view = self._cached_view(key, cached)
-        payload = json.dumps({"event": "terminal", "job": view.to_dict()},
-                             sort_keys=True)
-        body = f"event: terminal\ndata: {payload}\n\n".encode("utf-8")
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: text/event-stream\r\n"
-            b"Cache-Control: no-store\r\n"
-            b"Connection: close\r\n\r\n" + body)
-        await writer.drain()
+        yield "terminal", {"event": "terminal", "job": view.to_dict()}
 
-    async def _handle_healthz(self, writer: asyncio.StreamWriter) -> None:
+    async def _forwarded_frames(self, owner: str,
+                                reader: asyncio.StreamReader,
+                                writer: asyncio.StreamWriter
+                                ) -> AsyncGenerator[Frame, None]:
+        """The shard's SSE stream, re-addressed to routed job ids."""
+        try:
+            async for name, payload in read_events(reader):
+                yield name, self._prefix_job_id(owner, payload)
+        finally:
+            writer.close()
+
+    async def healthz(self) -> Response:
         import repro
 
-        await write_json(writer, 200, {
+        return Response.json(200, {
             "status": "ok",
             "version": repro.__version__,
             "draining": self.draining,
@@ -385,29 +267,29 @@ class Router:
             "shards_healthy": self.supervisor.healthy_count(),
         })
 
-    async def _handle_readyz(self, writer: asyncio.StreamWriter) -> None:
+    async def readyz(self) -> Response:
         if self.draining:
-            await write_json(writer, 503, error_body(
+            return Response.json(503, error_body(
                 "draining", "cluster is draining"))
-        elif self.supervisor.healthy_count() < 1:
-            await write_json(writer, 503, error_body(
+        if self.supervisor.healthy_count() < 1:
+            return Response.json(503, error_body(
                 "shard-unavailable", "no healthy shards yet",
                 retry_after=SHARD_RETRY_AFTER))
-        else:
-            await write_json(writer, 200, {
-                "status": "ready",
-                "shards_healthy": self.supervisor.healthy_count(),
-            })
+        return Response.json(200, {
+            "status": "ready",
+            "shards_healthy": self.supervisor.healthy_count(),
+        })
 
-    async def _handle_metrics(self, writer: asyncio.StreamWriter) -> None:
+    async def metrics(self) -> Response:
         scrapes: list[Mapping[str, float]] = []
         for name in self.supervisor.shard_names():
-            endpoint = self._owner_endpoint(name)
+            endpoint = self.supervisor.endpoint(name)
             if endpoint is None:
                 continue
             try:
-                status, _, payload = await self._forward(
-                    endpoint, "GET", "/metrics")
+                status, _, payload = await fetch(
+                    endpoint, "GET", "/metrics",
+                    timeout=self.forward_timeout)
             except (OSError, asyncio.TimeoutError):
                 continue
             if status == 200:
@@ -420,5 +302,4 @@ class Router:
             counters=counters,
             gauges=self.supervisor.gauges(),
         )
-        await write_raw(writer, 200, text.encode("utf-8"),
-                        "text/plain; version=0.0.4")
+        return Response.prometheus(text)

@@ -37,6 +37,7 @@ the kill-shard drill the failover proof needs.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import enum
 import json
 import os
@@ -51,9 +52,13 @@ from typing import Any, Mapping, Sequence
 
 from repro.common.errors import ConfigError
 from repro.exec.faults import parse_fault_plan
-
-#: Marker line every shard prints once its port is bound.
-_ANNOUNCE_MARKER = "listening on http://"
+from repro.serve.http import (
+    ThreadedHarness,
+    announced_port,
+    fetch,
+    run_main,
+    serve_until_stopped,
+)
 
 
 class ShardState(enum.Enum):
@@ -225,14 +230,7 @@ class Supervisor:
                 text = handle.read().decode("utf-8", errors="replace")
         except OSError:
             return
-        for line in text.splitlines():
-            if _ANNOUNCE_MARKER in line:
-                address = line.split(_ANNOUNCE_MARKER, 1)[1].split()[0]
-                try:
-                    shard.port = int(address.rsplit(":", 1)[1])
-                except ValueError:
-                    continue
-                return
+        shard.port = announced_port(text)
 
     def _handle_exit(self, shard: Shard, now: float) -> None:
         code = shard.process.returncode if shard.process else None
@@ -278,22 +276,11 @@ class Supervisor:
         if shard.port is None:
             return False
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(self.host, shard.port),
-                self.probe_timeout)
+            status, _, _ = await fetch((self.host, shard.port), "GET",
+                                       "/readyz", timeout=self.probe_timeout)
         except (OSError, asyncio.TimeoutError):
             return False
-        try:
-            writer.write(b"GET /readyz HTTP/1.1\r\nHost: cluster\r\n"
-                         b"Connection: close\r\n\r\n")
-            await writer.drain()
-            status_line = await asyncio.wait_for(reader.readline(),
-                                                 self.probe_timeout)
-            return b" 200 " in status_line
-        except (OSError, asyncio.TimeoutError):
-            return False
-        finally:
-            writer.close()
+        return status == 200
 
     # -- the monitor loop ----------------------------------------------------
 
@@ -430,9 +417,8 @@ async def run_cluster(
 ) -> int:
     """Run supervisor + router until SIGTERM/SIGINT, then drain.
 
-    The cluster-level twin of :func:`repro.serve.http.run_server`: same
-    signal wiring, same announce contract (the ``listening on http://``
-    line carries the bound router port), same clean-drain exit 0.
+    The drain flips ``/readyz`` to 503, stops the monitor, drains every
+    shard and writes ``cluster-stats.json``.
     """
     from repro.cluster.router import Router
 
@@ -441,121 +427,47 @@ async def run_cluster(
     supervisor.spawn_all()
     router = Router(supervisor, host=host, port=port,
                     cache_dir=supervisor.cache_dir)
-    await router.start()
     monitor_task = asyncio.create_task(supervisor.monitor(),
                                        name="cluster-monitor")
 
-    if stop_event is None:
-        stop_event = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    installed: list[signal.Signals] = []
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, stop_event.set)
-            installed.append(signum)
-        except (NotImplementedError, RuntimeError):
-            pass
-
-    announce(f"repro cluster: listening on http://{host}:{router.port} "
-             f"(shards={len(supervisor.shards)}, "
-             f"workers/shard={supervisor.jobs})")
-    if ready_event is not None:
-        ready_event.set()
-    try:
-        await stop_event.wait()
-        announce("repro cluster: draining (stopping shards)")
+    async def drain() -> None:
         router.begin_drain()
         monitor_task.cancel()
-        try:
+        with contextlib.suppress(asyncio.CancelledError):
             await monitor_task
-        except asyncio.CancelledError:
-            pass
         await supervisor.drain()
-        await router.stop()
         supervisor.write_stats(router.counters)
-        announce("repro cluster: drained cleanly")
-        return 0
-    finally:
-        for signum in installed:
-            loop.remove_signal_handler(signum)
+
+    return await serve_until_stopped(
+        router, program="repro cluster",
+        summary=(f"shards={len(supervisor.shards)}, "
+                 f"workers/shard={supervisor.jobs}"),
+        drain_note="stopping shards", drain=drain,
+        announce=announce, ready_event=ready_event, stop_event=stop_event)
 
 
-class ThreadedCluster:
-    """The full cluster stack on a background thread (tests).
+class ThreadedCluster(ThreadedHarness):
+    """The full cluster stack on a background thread (tests)."""
 
-    Mirrors :class:`repro.serve.http.ThreadedServer`: enter the context,
-    read ``.port`` for the router's bound port, exit for a graceful
-    drain (exit code in ``.exit_code``).
-    """
-
-    def __init__(self, port: int = 0, **kwargs: Any) -> None:
-        self.port = port
-        self.exit_code: int | None = None
-        self._kwargs = kwargs
-        self._ready = threading.Event()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._thread = threading.Thread(target=self._run,
-                                        name="repro-cluster", daemon=True)
-
-    def _run(self) -> None:
-        async def main() -> int:
-            self._loop = asyncio.get_running_loop()
-            self._stop = asyncio.Event()
-            return await run_cluster(
-                port=self.port,
-                announce=self._capture_announce,
-                ready_event=self._ready,
-                stop_event=self._stop,
-                **self._kwargs,
-            )
-
-        self.exit_code = asyncio.run(main())
-
-    def _capture_announce(self, line: str) -> None:
-        if _ANNOUNCE_MARKER in line and "cluster" in line:
-            address = line.split(_ANNOUNCE_MARKER, 1)[1].split()[0]
-            self.port = int(address.rsplit(":", 1)[1])
-
-    def start(self, timeout: float = 60.0) -> "ThreadedCluster":
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise ConfigError("threaded cluster failed to start")
-        return self
-
-    def stop(self, timeout: float = 120.0) -> int:
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise ConfigError("threaded cluster did not drain in time")
-        return self.exit_code if self.exit_code is not None else 1
-
-    def __enter__(self) -> "ThreadedCluster":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+    entrypoint = staticmethod(run_cluster)
+    start_timeout = 60.0
+    stop_timeout = 120.0
 
 
 def main_cluster(args: Any) -> int:
     """``repro cluster`` entry point (driven by :mod:`repro.cli`)."""
-    try:
-        return asyncio.run(run_cluster(
-            host=args.host,
-            port=args.port,
-            shards=args.shards,
-            cache_dir=args.cache_dir,
-            jobs=args.jobs,
-            max_pending=args.max_pending,
-            chaos=args.chaos or (),
-            probe_interval=args.probe_interval,
-            probe_timeout=args.probe_timeout,
-            min_uptime=args.min_uptime,
-            backoff_base=args.backoff_base,
-            backoff_cap=args.backoff_cap,
-            crash_loop_limit=args.crash_loop_limit,
-        ))
-    except KeyboardInterrupt:
-        print("repro cluster: interrupted before drain", file=sys.stderr)
-        return 130
+    return run_main(run_cluster(
+        host=args.host,
+        port=args.port,
+        shards=args.shards,
+        cache_dir=args.cache_dir,
+        jobs=args.jobs,
+        max_pending=args.max_pending,
+        chaos=args.chaos or (),
+        probe_interval=args.probe_interval,
+        probe_timeout=args.probe_timeout,
+        min_uptime=args.min_uptime,
+        backoff_base=args.backoff_base,
+        backoff_cap=args.backoff_cap,
+        crash_loop_limit=args.crash_loop_limit,
+    ), "repro cluster")

@@ -5,7 +5,7 @@ Layout::
     protocol    versioned wire types (SimulateRequest, JobView, errors)
     broker      admission control, single-flight dedup, micro-batching
     recovery    CRC-framed write-ahead job journal + restart replay
-    http        hand-rolled asyncio HTTP/1.1 server + SSE streaming
+    http        the one HTTP layer: listener, routes, SSE, upstream client
     client      blocking stdlib client with failover retry policy
     loadgen     closed-loop load generator (BENCH_serve/BENCH_cluster)
 

@@ -34,7 +34,6 @@ from typing import Any, Iterator, Mapping
 
 from repro.common.errors import ReproError
 from repro.serve.protocol import (
-    JobStatus,
     JobView,
     ProtocolError,
     SimulateRequest,
@@ -170,18 +169,14 @@ class ServeClient:
         error = (document.get("error", {})
                  if isinstance(document, dict) else {})
         message = error.get("message", f"HTTP {status}")
+        retry_after = error.get("retry_after_seconds",
+                                headers.get("retry-after"))
         if status == 429:
-            retry_after = float(
-                error.get("retry_after_seconds",
-                          headers.get("retry-after", 1)))
-            raise ServerBusy(message, retry_after)
+            raise ServerBusy(message, float(
+                retry_after if retry_after is not None else 1))
         if status == 503:
-            retry_after = error.get("retry_after_seconds")
-            if retry_after is None:
-                retry_after = headers.get("retry-after")
-            raise ServerDraining(
-                message,
-                float(retry_after) if retry_after is not None else None)
+            raise ServerDraining(message, None if retry_after is None
+                                 else float(retry_after))
         if status == 404:
             raise JobNotFound(message)
         if status == 400:
@@ -259,7 +254,7 @@ class ServeClient:
             view = self.submit(request)
             if view.status.terminal:
                 return view
-            return self.wait(view.job_id, timeout=timeout)
+            return self.wait(view.job_id, timeout=timeout, poll=poll)
 
         policy = self.retry
         deadline = time.monotonic() + min(timeout, policy.max_deadline)
@@ -336,9 +331,3 @@ class ServeClient:
         finally:
             connection.close()
 
-
-def check_status(status: JobStatus | str) -> JobStatus:
-    """Coerce a status string into :class:`JobStatus` (client helpers)."""
-    if isinstance(status, JobStatus):
-        return status
-    return JobStatus(status)

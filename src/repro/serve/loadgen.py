@@ -23,7 +23,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.exec.keys import stable_hash
 from repro.obs.prometheus import parse_prometheus
@@ -33,7 +33,7 @@ from repro.serve.client import (
     ServeClientError,
     ServerBusy,
 )
-from repro.serve.protocol import JobStatus, SimulateRequest
+from repro.serve.protocol import JobStatus, JobView, SimulateRequest
 
 #: Schema identity of the emitted JSON document.
 SERVE_BENCH_SCHEMA = "repro.bench.serve"
@@ -134,31 +134,30 @@ class _Tally:
     cache_hits: int = 0
     latencies: list[float] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
+    #: Result digest per sim key (cluster mode's bit-identity check).
+    digests: dict[str, str] = field(default_factory=dict)
 
 
 def build_plan(config: LoadgenConfig) -> list[tuple[SimulateRequest, bool]]:
-    """The seeded request mix: ``(request, paired_duplicate)`` items."""
+    """The seeded request mix: ``(request, paired_duplicate)`` items.
+
+    With ``cover_grid`` the plan opens with every cell exactly once;
+    seeded random draws fill the rest.
+    """
     rng = random.Random(config.seed)
+    grid = ([(workload, prefetcher) for workload in config.workloads
+             for prefetcher in config.prefetchers]
+            if config.cover_grid else [])
     plan: list[tuple[SimulateRequest, bool]] = []
-    if config.cover_grid:
-        # Deterministic full-grid prefix: every cell exactly once.
-        for workload in config.workloads:
-            for prefetcher in config.prefetchers:
-                if len(plan) >= config.requests:
-                    break
-                request = SimulateRequest(
-                    workload=workload,
-                    prefetcher=prefetcher,
-                    scale=config.scale,
-                    budget_fraction=config.budget_fraction,
-                    seed=0,
-                )
-                plan.append((request, rng.random()
-                             < config.duplicate_ratio))
     while len(plan) < config.requests:
+        if len(plan) < len(grid):
+            workload, prefetcher = grid[len(plan)]
+        else:
+            workload = rng.choice(config.workloads)
+            prefetcher = rng.choice(config.prefetchers)
         request = SimulateRequest(
-            workload=rng.choice(config.workloads),
-            prefetcher=rng.choice(config.prefetchers),
+            workload=workload,
+            prefetcher=prefetcher,
             scale=config.scale,
             budget_fraction=config.budget_fraction,
             seed=0,
@@ -182,54 +181,76 @@ def _submit_with_retry(client: ServeClient, config: LoadgenConfig,
     return None
 
 
-def _account_terminal(view, started: float, tally: _Tally) -> None:
+def _account(tally: _Tally, started: float, view: JobView | None = None,
+             error: str | None = None) -> None:
+    """Record one finished submission: its terminal view, or an error."""
     latency = time.perf_counter() - started
     with tally.lock:
         tally.latencies.append(latency)
-        if view.status is JobStatus.DONE:
+        if view is not None and view.status is JobStatus.DONE:
             tally.ok += 1
             if view.cache_hit:
                 tally.cache_hits += 1
         else:
             tally.failed += 1
-            if view.error:
-                tally.errors.append(view.error)
+            error = error or view.error
+            if error:
+                tally.errors.append(error)
 
 
-def _worker(client: ServeClient, config: LoadgenConfig,
-            items: "queue.Queue[tuple[SimulateRequest, bool]]",
-            tally: _Tally) -> None:
-    while True:
-        try:
-            request, paired = items.get_nowait()
-        except queue.Empty:
-            return
+def _serve_item(client: ServeClient, config: LoadgenConfig,
+                request: SimulateRequest, paired: bool,
+                tally: _Tally) -> None:
+    """Submit (twice back-to-back if ``paired``), then wait for each.
+
+    The second identical submission goes in *before* waiting: the first
+    is still in flight, so it must single-flight.
+    """
+    submitted = []
+    for _ in range(2 if paired else 1):
         started = time.perf_counter()
-        first = _submit_with_retry(client, config, request, tally)
-        if first is None:
-            continue
-        second = None
-        second_started = None
-        if paired:
-            # Submit the identical request again *before* waiting: the
-            # first is still in flight, so this must single-flight.
-            second_started = time.perf_counter()
-            second = _submit_with_retry(client, config, request, tally)
-            if second is not None and second.deduplicated:
-                with tally.lock:
-                    tally.dedup_hits += 1
-        if first.deduplicated:
+        view = _submit_with_retry(client, config, request, tally)
+        if view is None:
+            break
+        if view.deduplicated:
             with tally.lock:
                 tally.dedup_hits += 1
+        submitted.append((view, started))
+    for view, started in submitted:
+        if not view.status.terminal:
+            view = client.wait(view.job_id, timeout=config.timeout)
+        _account(tally, started, view)
 
-        view = (first if first.status.terminal
-                else client.wait(first.job_id, timeout=config.timeout))
-        _account_terminal(view, started, tally)
-        if second is not None:
-            second_view = (
-                second if second.status.terminal
-                else client.wait(second.job_id, timeout=config.timeout))
-            _account_terminal(second_view, second_started, tally)
+
+def _cluster_item(client: ServeClient, config: LoadgenConfig,
+                  request: SimulateRequest, paired: bool,
+                  tally: _Tally) -> None:
+    """Failover-tolerant one-shots (twice in a row if ``paired``).
+
+    :meth:`ServeClient.run` retries under the client's policy, so a
+    shard death shows up as latency, or as a failed request once the
+    retries run out.  Result digests are recorded per sim key so a chaos
+    run can be proven bit-identical to a fault-free one.
+    """
+    for _ in range(2 if paired else 1):
+        started = time.perf_counter()
+        with tally.lock:
+            tally.submissions += 1
+        try:
+            view = client.run(request, timeout=config.timeout)
+        except ServeClientError as error:
+            _account(tally, started, error=str(error))
+            continue
+        _account(tally, started, view)
+        if view.status is JobStatus.DONE and view.result is not None:
+            digest = stable_hash(dict(view.result))
+            with tally.lock:
+                previous = tally.digests.get(view.key)
+                if previous is not None and previous != digest:
+                    tally.errors.append(
+                        f"digest conflict for {view.key[:12]}…: "
+                        f"{previous[:12]} != {digest[:12]}")
+                tally.digests[view.key] = digest
 
 
 def _percentile(sorted_values: list[float], fraction: float) -> float:
@@ -241,35 +262,36 @@ def _percentile(sorted_values: list[float], fraction: float) -> float:
     return sorted_values[rank]
 
 
-def _metrics_delta(before: dict[str, float], after: dict[str, float],
-                   prefixes: tuple[str, ...] = ("repro_serve_",)
-                   ) -> dict[str, float]:
-    delta = {}
-    for name, value in after.items():
-        if name.startswith(prefixes) and name.endswith("_total"):
-            delta[name] = value - before.get(name, 0.0)
-    return delta
+def _drive(config: LoadgenConfig, worker: Callable[..., None],
+           clients: list[ServeClient], *, ready_timeout: float,
+           metric_prefixes: tuple[str, ...]
+           ) -> tuple[_Tally, dict[str, Any], ServeClient]:
+    """Run the seeded plan with one thread per client.
 
-
-def run_loadgen(config: LoadgenConfig, announce=None) -> dict[str, Any]:
-    """Drive the server and return the ``BENCH_serve.json`` document."""
-    client = ServeClient(config.host, config.port,
-                         timeout=max(30.0, config.timeout))
-    client.wait_until_ready()
-    health = client.health()
-    metrics_before = parse_prometheus(client.metrics_text())
+    Returns the tally, the document fields both modes share, and the
+    probe client for follow-up reads.
+    """
+    probe = ServeClient(config.host, config.port, timeout=30.0)
+    probe.wait_until_ready(timeout=ready_timeout)
+    version = probe.health().get("version")
+    metrics_before = parse_prometheus(probe.metrics_text())
 
     items: "queue.Queue[tuple[SimulateRequest, bool]]" = queue.Queue()
     for item in build_plan(config):
         items.put(item)
-
     tally = _Tally()
-    threads = [
-        threading.Thread(target=_worker,
-                         args=(client, config, items, tally),
-                         name=f"loadgen-{index}")
-        for index in range(max(1, config.concurrency))
-    ]
+
+    def run(client: ServeClient) -> None:
+        while True:
+            try:
+                request, paired = items.get_nowait()
+            except queue.Empty:
+                return
+            worker(client, config, request, paired, tally)
+
+    threads = [threading.Thread(target=run, args=(client,),
+                                name=f"loadgen-{index}")
+               for index, client in enumerate(clients)]
     started = time.perf_counter()
     for thread in threads:
         thread.start()
@@ -277,32 +299,28 @@ def run_loadgen(config: LoadgenConfig, announce=None) -> dict[str, Any]:
         thread.join()
     wall_seconds = time.perf_counter() - started
 
-    metrics_after = parse_prometheus(client.metrics_text())
+    metrics_after = parse_prometheus(probe.metrics_text())
     latencies = sorted(tally.latencies)
     completed = tally.ok + tally.failed
-    document: dict[str, Any] = {
-        "schema": SERVE_BENCH_SCHEMA,
-        "schema_version": SERVE_BENCH_SCHEMA_VERSION,
+    return tally, {
         "loadgen": config.to_dict(),
         "server": {
-            "version": health.get("version"),
-            "metrics_delta": _metrics_delta(metrics_before, metrics_after),
+            "version": version,
+            "metrics_delta": {
+                name: value - metrics_before.get(name, 0.0)
+                for name, value in metrics_after.items()
+                if name.startswith(metric_prefixes)
+                and name.endswith("_total")},
         },
         "totals": {
             "submissions": tally.submissions,
             "completed": completed,
             "ok": tally.ok,
             "failed": tally.failed,
-            "rejected_429": tally.rejected,
             "wall_seconds": wall_seconds,
             "throughput_rps": (completed / wall_seconds
                                if wall_seconds > 0 else 0.0),
-            "dedup_hits": tally.dedup_hits,
-            "dedup_hit_rate": (tally.dedup_hits / tally.submissions
-                               if tally.submissions else 0.0),
             "cache_hits": tally.cache_hits,
-            "cache_hit_rate": (tally.cache_hits / completed
-                               if completed else 0.0),
         },
         "latency_seconds": {
             "mean": (sum(latencies) / len(latencies) if latencies else 0.0),
@@ -312,51 +330,30 @@ def run_loadgen(config: LoadgenConfig, announce=None) -> dict[str, Any]:
             "max": latencies[-1] if latencies else 0.0,
         },
         "errors": tally.errors[:10],
-    }
+    }, probe
+
+
+def run_loadgen(config: LoadgenConfig, announce=None) -> dict[str, Any]:
+    """Drive the server and return the ``BENCH_serve.json`` document."""
+    client = ServeClient(config.host, config.port,
+                         timeout=max(30.0, config.timeout))
+    tally, document, _ = _drive(
+        config, _serve_item, [client] * max(1, config.concurrency),
+        ready_timeout=30.0, metric_prefixes=("repro_serve_",))
+    totals = document["totals"]
+    totals.update(
+        rejected_429=tally.rejected,
+        dedup_hits=tally.dedup_hits,
+        dedup_hit_rate=(tally.dedup_hits / tally.submissions
+                        if tally.submissions else 0.0),
+        cache_hit_rate=(tally.cache_hits / totals["completed"]
+                        if totals["completed"] else 0.0),
+    )
+    document = {"schema": SERVE_BENCH_SCHEMA,
+                "schema_version": SERVE_BENCH_SCHEMA_VERSION, **document}
     if announce is not None:
         announce(render_loadgen(document))
     return document
-
-
-def _cluster_worker(client: ServeClient, config: LoadgenConfig,
-                    items: "queue.Queue[tuple[SimulateRequest, bool]]",
-                    tally: _Tally, digests: dict[str, str]) -> None:
-    """Closed-loop worker for cluster mode: failover-tolerant one-shots.
-
-    Every item goes through :meth:`ServeClient.run` under the client's
-    retry policy, so shard deaths mid-run surface here only as elevated
-    latency — unless retries are exhausted, which counts as a failed
-    request (availability < 1).  Result digests are recorded per sim
-    key so a chaos run can be proven bit-identical to a fault-free one.
-    """
-    while True:
-        try:
-            request, paired = items.get_nowait()
-        except queue.Empty:
-            return
-        submissions = 2 if paired else 1
-        for _ in range(submissions):
-            started = time.perf_counter()
-            with tally.lock:
-                tally.submissions += 1
-            try:
-                view = client.run(request, timeout=config.timeout)
-            except ServeClientError as error:
-                with tally.lock:
-                    tally.failed += 1
-                    tally.latencies.append(time.perf_counter() - started)
-                    tally.errors.append(str(error))
-                continue
-            _account_terminal(view, started, tally)
-            if view.status is JobStatus.DONE and view.result is not None:
-                digest = stable_hash(dict(view.result))
-                with tally.lock:
-                    previous = digests.get(view.key)
-                    if previous is not None and previous != digest:
-                        tally.errors.append(
-                            f"digest conflict for {view.key[:12]}…: "
-                            f"{previous[:12]} != {digest[:12]}")
-                    digests[view.key] = digest
 
 
 def run_cluster_loadgen(config: LoadgenConfig,
@@ -369,85 +366,43 @@ def run_cluster_loadgen(config: LoadgenConfig,
     shard kill+restart.  ``digests`` maps each sim key to a stable hash
     of its result payload for cross-run bit-identity checks.
     """
-    probe = ServeClient(config.host, config.port, timeout=30.0)
-    probe.wait_until_ready(timeout=90.0)
-    health = probe.health()
-    metrics_before = parse_prometheus(probe.metrics_text())
-
-    items: "queue.Queue[tuple[SimulateRequest, bool]]" = queue.Queue()
-    for item in build_plan(config):
-        items.put(item)
-
     policy = RetryPolicy(max_attempts=10, base_delay=0.2, max_delay=5.0,
                          max_deadline=max(120.0, config.timeout))
-    tally = _Tally()
-    digests: dict[str, str] = {}
     clients = [ServeClient(config.host, config.port,
                            timeout=max(30.0, config.timeout), retry=policy)
                for _ in range(max(1, config.concurrency))]
-    threads = [
-        threading.Thread(target=_cluster_worker,
-                         args=(client, config, items, tally, digests),
-                         name=f"loadgen-cluster-{index}")
-        for index, client in enumerate(clients)
-    ]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall_seconds = time.perf_counter() - started
-
-    metrics_after = parse_prometheus(probe.metrics_text())
-    cluster_health = probe.health()
-    latencies = sorted(tally.latencies)
-    completed = tally.ok + tally.failed
-    retries = sum(client.retries for client in clients)
-    document: dict[str, Any] = {
-        "schema": CLUSTER_BENCH_SCHEMA,
-        "schema_version": CLUSTER_BENCH_SCHEMA_VERSION,
-        "loadgen": config.to_dict(),
-        "cluster": {
-            "version": health.get("version"),
-            "shards": cluster_health.get("shards"),
-            "shards_healthy": cluster_health.get("shards_healthy"),
-            "metrics_delta": _metrics_delta(
-                metrics_before, metrics_after,
-                prefixes=("repro_serve_", "repro_cluster_")),
-        },
-        "totals": {
-            "submissions": tally.submissions,
-            "completed": completed,
-            "ok": tally.ok,
-            "failed": tally.failed,
-            "retries": retries,
-            "wall_seconds": wall_seconds,
-            "throughput_rps": (completed / wall_seconds
-                               if wall_seconds > 0 else 0.0),
-            "availability": (tally.ok / tally.submissions
-                             if tally.submissions else 0.0),
-            "cache_hits": tally.cache_hits,
-        },
-        "latency_seconds": {
-            "mean": (sum(latencies) / len(latencies) if latencies else 0.0),
-            "p50": _percentile(latencies, 0.50),
-            "p95": _percentile(latencies, 0.95),
-            "p99": _percentile(latencies, 0.99),
-            "max": latencies[-1] if latencies else 0.0,
-        },
-        "digests": dict(sorted(digests.items())),
-        "errors": tally.errors[:10],
-    }
+    tally, document, probe = _drive(
+        config, _cluster_item, clients, ready_timeout=90.0,
+        metric_prefixes=("repro_serve_", "repro_cluster_"))
+    health = probe.health()
+    document["totals"].update(
+        retries=sum(client.retries for client in clients),
+        availability=(tally.ok / tally.submissions
+                      if tally.submissions else 0.0),
+    )
+    server = document.pop("server")
+    document = {"schema": CLUSTER_BENCH_SCHEMA,
+                "schema_version": CLUSTER_BENCH_SCHEMA_VERSION,
+                **document,
+                "cluster": {**server,
+                            "shards": health.get("shards"),
+                            "shards_healthy": health.get("shards_healthy")},
+                "digests": dict(sorted(tally.digests.items()))}
     if announce is not None:
         announce(render_cluster_loadgen(document))
     return document
 
 
+def _latency_line(latency: dict[str, float]) -> str:
+    return (f"  latency:        p50 {latency['p50'] * 1000:.0f}ms  "
+            f"p95 {latency['p95'] * 1000:.0f}ms  "
+            f"p99 {latency['p99'] * 1000:.0f}ms  "
+            f"max {latency['max'] * 1000:.0f}ms")
+
+
 def render_cluster_loadgen(document: dict[str, Any]) -> str:
     """Terminal summary of one cluster loadgen document."""
     totals = document["totals"]
-    latency = document["latency_seconds"]
-    cluster = document["cluster"]
     lines = [
         f"repro loadgen --cluster ({totals['submissions']} submission(s), "
         f"{document['loadgen']['concurrency']} worker(s))",
@@ -457,11 +412,8 @@ def render_cluster_loadgen(document: dict[str, Any]) -> str:
         f"{totals['retries']} retry(ies))",
         f"  wall time:      {totals['wall_seconds']:.2f}s  "
         f"throughput {totals['throughput_rps']:.2f} req/s",
-        f"  latency:        p50 {latency['p50'] * 1000:.0f}ms  "
-        f"p95 {latency['p95'] * 1000:.0f}ms  "
-        f"p99 {latency['p99'] * 1000:.0f}ms  "
-        f"max {latency['max'] * 1000:.0f}ms",
-        f"  shards healthy: {cluster.get('shards_healthy')}",
+        _latency_line(document["latency_seconds"]),
+        f"  shards healthy: {document['cluster'].get('shards_healthy')}",
         f"  unique cells:   {len(document['digests'])} digest(s)",
     ]
     return "\n".join(lines)
@@ -470,7 +422,6 @@ def render_cluster_loadgen(document: dict[str, Any]) -> str:
 def render_loadgen(document: dict[str, Any]) -> str:
     """Terminal summary of one loadgen document."""
     totals = document["totals"]
-    latency = document["latency_seconds"]
     lines = [
         f"repro loadgen ({totals['submissions']} submission(s), "
         f"{document['loadgen']['concurrency']} worker(s), duplicate ratio "
@@ -481,10 +432,7 @@ def render_loadgen(document: dict[str, Any]) -> str:
         f"{totals['rejected_429']} x 429)",
         f"  wall time:      {totals['wall_seconds']:.2f}s",
         f"  throughput:     {totals['throughput_rps']:.2f} req/s",
-        f"  latency:        p50 {latency['p50'] * 1000:.0f}ms  "
-        f"p95 {latency['p95'] * 1000:.0f}ms  "
-        f"p99 {latency['p99'] * 1000:.0f}ms  "
-        f"max {latency['max'] * 1000:.0f}ms",
+        _latency_line(document["latency_seconds"]),
         f"  dedup hit rate: {totals['dedup_hit_rate']:.1%} "
         f"({totals['dedup_hits']} single-flight join(s))",
         f"  cache hit rate: {totals['cache_hit_rate']:.1%} "

@@ -96,3 +96,14 @@ def _isolated_cli_cache(tmp_path, monkeypatch):
     ``.repro-cache/`` in the current working directory.
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cli-cache"))
+
+
+@pytest.fixture(scope="module")
+def cluster(tmp_path_factory):
+    """A real 2-shard ``repro cluster`` on a background thread."""
+    from repro.cluster import ThreadedCluster
+
+    cache_dir = tmp_path_factory.mktemp("cluster-cache")
+    with ThreadedCluster(shards=2, cache_dir=cache_dir, jobs=1,
+                         probe_interval=0.2) as running:
+        yield running

@@ -242,16 +242,6 @@ class TestCoverGridPlan:
 
 
 @pytest.fixture(scope="module")
-def cluster(tmp_path_factory):
-    from repro.cluster import ThreadedCluster
-
-    cache_dir = tmp_path_factory.mktemp("cluster-cache")
-    with ThreadedCluster(shards=2, cache_dir=cache_dir, jobs=1,
-                         probe_interval=0.2) as running:
-        yield running
-
-
-@pytest.fixture(scope="module")
 def cluster_client(cluster):
     client = ServeClient(port=cluster.port,
                          retry=RetryPolicy(max_attempts=8,
@@ -311,6 +301,24 @@ class TestClusterEndToEnd:
         with pytest.raises(JobNotFound):
             bare.job("s0:j999999")
 
+    def test_forwarded_sse_frames_carry_routable_job_ids(
+            self, cluster_client):
+        deadline = time.monotonic() + 90.0
+        while (cluster_client.health()["shards_healthy"] < 2
+               and time.monotonic() < deadline):
+            time.sleep(0.1)
+        view = cluster_client.submit(request("ghb-pc/dc"))
+        assert not view.job_id.startswith("cache:")
+        events = list(cluster_client.stream_events(view.job_id,
+                                                   timeout=180.0))
+        terminal = events[-1]
+        assert terminal["_event"] == "terminal"
+        assert terminal["job"]["job_id"] == view.job_id
+        assert all(event["job_id"] == view.job_id
+                   for event in events if "job_id" in event)
+        polled = cluster_client.job(terminal["job"]["job_id"])
+        assert polled.status is JobStatus.DONE
+
 
 class TestChaosFailover:
     """The acceptance drill: kill shards mid-run, lose nothing."""
@@ -330,6 +338,12 @@ class TestChaosFailover:
 
         totals = document["totals"]
         assert totals["failed"] == 0, document["errors"]
+        assert set(document) == {"schema", "schema_version", "loadgen",
+                                 "cluster", "totals", "latency_seconds",
+                                 "digests", "errors"}
+        assert set(totals) == {
+            "submissions", "completed", "ok", "failed", "retries",
+            "wall_seconds", "throughput_rps", "availability", "cache_hits"}
         assert totals["availability"] == 1.0
         # The full grid over 3 shards guarantees some shard finished
         # two jobs, so the exit@2 fault must have killed at least one.

@@ -2,7 +2,9 @@
 
 A module-scoped :class:`~repro.serve.http.ThreadedServer` keeps the
 cost of real simulations down: every HTTP test shares one server (and
-its result cache), using tiny ``nw`` cells at a 2% access budget.
+its result cache), using tiny ``nw`` cells at a 2% access budget.  The
+route-table tests also run against a 2-shard cluster (the ``cluster``
+fixture), the second backend behind the same HTTP layer.
 Broker-level semantics (admission bounds, drain refusal) are tested
 synchronously without HTTP, and the SIGTERM drain path runs the real
 ``python -m repro serve`` in a subprocess.
@@ -10,6 +12,7 @@ synchronously without HTTP, and the SIGTERM drain path runs the real
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -28,7 +31,7 @@ from repro.serve.client import (
     ServeClientError,
     ServerBusy,
 )
-from repro.serve.http import ThreadedServer
+from repro.serve.http import MAX_BODY_BYTES, MAX_HEADER_LINES, ThreadedServer
 from repro.serve.loadgen import (
     SERVE_BENCH_SCHEMA,
     LoadgenConfig,
@@ -63,6 +66,42 @@ def client(server):
     return client
 
 
+@pytest.fixture(params=["serve", "cluster"])
+def api(request):
+    """A client of either backend behind the one route table."""
+    running = request.getfixturevalue(
+        "server" if request.param == "serve" else "cluster")
+    return ServeClient("127.0.0.1", running.port)
+
+
+def post_raw(port: int, headers: dict[str, str]) -> tuple[int, bytes]:
+    """``POST /v1/simulate`` with hand-set headers and no body."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        connection.putrequest("POST", "/v1/simulate")
+        for name, value in headers.items():
+            connection.putheader(name, value)
+        connection.endheaders()
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+#: Framing and validation failures: (headers, status, error type, message
+#: fragment).  ``None`` headers send the JSON body ``{"workload": "nw"}``.
+MALFORMED = {
+    "missing-version": (None, 400, "ProtocolError", "version"),
+    "negative-length": ({"Content-Length": "-1"}, 400, "protocol",
+                        "Content-Length"),
+    "too-many-headers": ({f"X-Filler-{index}": "x"
+                          for index in range(MAX_HEADER_LINES + 1)},
+                         400, "protocol", "too many request headers"),
+    "oversized-body": ({"Content-Length": str(MAX_BODY_BYTES + 1)}, 413,
+                       "protocol", "exceeds"),
+}
+
+
 class TestEndpoints:
     def test_healthz_reports_version(self, client):
         import repro
@@ -88,19 +127,26 @@ class TestEndpoints:
         with pytest.raises(JobNotFound):
             client.job("nope00000000")
 
-    def test_unknown_path_404(self, client):
-        status, _, _ = client._request("GET", "/v2/everything")
+    def test_unknown_path_404(self, api):
+        status, _, _ = api._request("GET", "/v2/everything")
         assert status == 404
 
-    def test_wrong_method_405(self, client):
-        status, _, _ = client._request("GET", "/v1/simulate")
+    def test_wrong_method_405(self, api):
+        status, _, _ = api._request("GET", "/v1/simulate")
         assert status == 405
 
-    def test_malformed_body_400(self, client):
-        status, _, raw = client._request("POST", "/v1/simulate",
-                                         body={"workload": "nw"})
-        assert status == 400
-        assert "version" in json.loads(raw)["error"]["message"]
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_body_400(self, api, case):
+        headers, expected, kind, fragment = MALFORMED[case]
+        if headers is None:
+            status, _, raw = api._request("POST", "/v1/simulate",
+                                          body={"workload": "nw"})
+        else:
+            status, raw = post_raw(api.port, headers)
+        assert status == expected
+        error = json.loads(raw)["error"]
+        assert error["type"] == kind
+        assert fragment in error["message"]
 
     def test_unknown_version_400(self, client):
         body = request().to_dict()
@@ -191,6 +237,27 @@ class TestSimulation:
         assert terminal["job"]["job_id"] == view.job_id
 
 
+class TestClientPolling:
+    def test_run_without_policy_polls_at_the_given_interval(
+            self, monkeypatch):
+        from types import SimpleNamespace
+
+        import repro.serve.client as client_module
+
+        client = ServeClient("127.0.0.1", 1)
+        statuses = iter([JobStatus.RUNNING, JobStatus.DONE])
+        monkeypatch.setattr(client, "submit", lambda _request: SimpleNamespace(
+            job_id="j1", status=JobStatus.QUEUED))
+        monkeypatch.setattr(client, "job", lambda job_id: SimpleNamespace(
+            job_id=job_id, status=next(statuses)))
+        sleeps: list[float] = []
+        monkeypatch.setattr(client_module, "time", SimpleNamespace(
+            monotonic=time.monotonic, sleep=sleeps.append))
+        view = client.run(request(), poll=0.25)
+        assert view.status is JobStatus.DONE
+        assert sleeps == [0.25]
+
+
 class TestBackpressureHttp:
     def test_admission_overflow_is_429_with_retry_after(self, tmp_path):
         # max_pending=0 refuses every submission deterministically.
@@ -262,6 +329,13 @@ class TestLoadgen:
         )
         document = run_loadgen(config)
         assert document["schema"] == SERVE_BENCH_SCHEMA
+        assert set(document) == {"schema", "schema_version", "loadgen",
+                                 "server", "totals", "latency_seconds",
+                                 "errors"}
+        assert set(document["totals"]) == {
+            "submissions", "completed", "ok", "failed", "rejected_429",
+            "wall_seconds", "throughput_rps", "dedup_hits",
+            "dedup_hit_rate", "cache_hits", "cache_hit_rate"}
         totals = document["totals"]
         assert totals["failed"] == 0
         assert totals["dedup_hits"] > 0
