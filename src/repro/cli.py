@@ -35,6 +35,7 @@ from typing import Sequence
 
 from repro import obs
 from repro.common.errors import ReproError
+from repro.exec.scheduler import ENGINE_TIERS
 from repro.harness.registry import PAPER_PREFETCHER_ORDER
 from repro.harness.runner import GridRunner
 from repro.sim.results import DemandClass
@@ -81,10 +82,9 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
              "(0 = all cores, 1 = in-process; default 0)",
     )
     parser.add_argument(
-        "--engine", choices=("auto", "fast", "reference", "batch"),
-        default="auto",
+        "--engine", choices=ENGINE_TIERS, default="auto",
         help="simulation engine tier: auto batches a workload's cells "
-             "when enough of them share its trace; fast/reference/batch "
+             "when enough of them share its trace; fast/batch "
              "force one tier (default auto)",
     )
     _add_cache_arguments(parser)

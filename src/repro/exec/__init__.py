@@ -2,21 +2,23 @@
 
 ``repro.exec`` turns a (workload x prefetcher) evaluation grid into an
 explicit task DAG — one trace-build task per workload fanning out into
-per-prefetcher simulation tasks — and executes it on a multiprocessing
-worker pool with a content-addressed on-disk result cache, per-task
-timeout/retry, and worker-crash recovery.
+per-prefetcher simulation tasks — and executes it with a
+content-addressed on-disk result cache, per-task timeout/retry, and
+worker-crash recovery: in-process for ``jobs=1``, on a multiprocessing
+worker pool otherwise.
 
 Layering: the engine sits *below* :class:`repro.harness.runner.GridRunner`
-(which delegates to it for ``jobs != 1`` or when a result cache is
-configured) and *above* ``repro.sim`` / ``repro.trace`` / ``repro.workloads``
-(whose artifacts it schedules).  It never imports the harness at module
-scope, so the harness can import it freely.
+(which runs every grid through it) and *above* ``repro.sim`` /
+``repro.trace`` / ``repro.workloads`` (whose artifacts it schedules).  It
+never imports the harness at module scope, so the harness can import it
+freely; tasks reach traces through ``repro.harness.runner.load_trace``
+at call time.
 
 ============== ==========================================================
 ``keys``       stable content-addressed hashing of task inputs
 ``plan``       the task DAG (trace nodes fanning into sim nodes)
 ``cache``      on-disk result cache keyed by ``keys.sim_key``
-``pool``       worker-side task execution + pool lifecycle
+``pool``       task execution + pool lifecycle
 ``scheduler``  DAG orchestration, retries, quarantine, degradation
 ``telemetry``  counters, per-task wall times, ETA, persistence
 ``journal``    write-ahead run journal + resume replay
@@ -46,7 +48,7 @@ from repro.exec.keys import (
     trace_key,
 )
 from repro.exec.plan import GridPlan, SimNode, TraceNode
-from repro.exec.pool import InjectSpec, WorkerPool, trace_nbytes
+from repro.exec.pool import InjectSpec, WorkerPool
 from repro.exec.scheduler import ExecOptions, execute_grid
 from repro.exec.singleflight import SingleFlight
 from repro.exec.telemetry import ExecTelemetry
@@ -80,5 +82,4 @@ __all__ = [
     "stable_hash",
     "trace_filename",
     "trace_key",
-    "trace_nbytes",
 ]

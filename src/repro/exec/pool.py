@@ -1,16 +1,17 @@
-"""Worker-side task execution and pool lifecycle.
+"""Task execution and pool lifecycle.
 
-Task payloads are small frozen dataclasses (cheap to pickle); the heavy
-artifacts move through the filesystem: a trace task *writes* its trace
-to a content-addressed file, the dependent simulation tasks *read* it.
-Each worker process keeps a tiny LRU of recently read traces so the
-sims of one workload that land on the same worker pay the deserialize
-cost once.
+Task payloads are small frozen dataclasses (cheap to pickle).  Every
+task reaches its trace through :func:`repro.harness.runner.load_trace`,
+whose per-process LRU (keyed by the trace's content key) means the sims
+of one workload pay the build or deserialize cost once per process; pool
+workers share traces through the content-addressed files a trace task
+writes.
 
 :class:`WorkerPool` wraps :class:`concurrent.futures.ProcessPoolExecutor`
 with the two operations the scheduler's fault handling needs: detecting
 a broken pool (a worker died mid-task) and force-restarting it (killing
-any hung worker) so a poisoned task can never wedge the grid.
+any hung worker) so a poisoned task can never wedge the grid.  A pool of
+one job runs each task in-process instead.
 
 Failure injection (:class:`InjectSpec`) exists for the fault-tolerance
 tests: a task can be made to raise, crash its worker, or hang for its
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -34,35 +34,7 @@ from repro.common.errors import ExecError, PermanentError
 from repro.sim.config import SimConfig
 from repro.sim.engine import simulate
 from repro.sim.results import SimResult
-from repro.trace.io import try_read_trace, write_trace
 from repro.trace.stream import Trace
-from repro.workloads.base import build_trace, get_workload
-
-#: Per-worker-process cache of deserialized traces, keyed by file path
-#: (paths are content-addressed, so a path's contents never change).
-#: Bounded two ways: by entry count, and by estimated total bytes so a
-#: grid of huge traces cannot OOM a worker that a grid of small traces
-#: would sail through.
-_TRACE_CACHE: "OrderedDict[str, Trace]" = OrderedDict()
-_TRACE_CACHE_CAPACITY = 4
-
-#: Total-bytes bound on the per-worker trace cache, tunable via
-#: ``$REPRO_TRACE_CACHE_BYTES`` (default 256 MiB).  The most recently
-#: used trace is always retained even when it alone exceeds the bound,
-#: so repeated sims of one oversized workload still hit.
-_TRACE_CACHE_MAX_BYTES = int(
-    os.environ.get("REPRO_TRACE_CACHE_BYTES", str(256 * 1024 * 1024))
-)
-
-#: Rough per-event heap cost of a deserialized ``TraceEvent`` (a small
-#: Python object plus list slot); used to estimate cache footprint
-#: without walking every object graph.
-_EVENT_NBYTES_ESTIMATE = 160
-
-
-def trace_nbytes(trace: Trace) -> int:
-    """Estimated heap footprint of one in-memory trace."""
-    return 1024 + len(trace.events) * _EVENT_NBYTES_ESTIMATE
 
 
 @dataclass(frozen=True)
@@ -86,23 +58,23 @@ class InjectSpec:
 
 @dataclass(frozen=True)
 class TraceTaskPayload:
-    """Build one workload trace and persist it at ``path``."""
+    """Materialize one workload trace (persisted at ``path`` if given)."""
 
     workload: str
     scale: float
     budget_fraction: float
     seed: int
-    path: str
+    key: str
+    path: str | None
 
 
 @dataclass(frozen=True)
 class SimTaskPayload:
-    """Simulate one grid cell against the trace at ``trace_path``."""
+    """Simulate one grid cell against its workload's trace."""
 
-    workload: str
     prefetcher: str
     config: SimConfig
-    trace_path: str
+    trace: TraceTaskPayload
     inject: InjectSpec | None = None
     inject_counter_path: str | None = None
 
@@ -116,20 +88,15 @@ class BatchTaskPayload:
     plain sim tasks instead), so the payload carries none.
     """
 
-    workload: str
     prefetchers: tuple[str, ...]
     config: SimConfig
-    trace_path: str
+    trace: TraceTaskPayload
 
 
 @dataclass
 class TraceTaskOutcome:
-    workload: str
-    path: str
-    events: int
+    source: str  # see repro.harness.runner.load_trace
     seconds: float
-    disk_hit: bool
-    rebuilt_corrupt: bool
 
 
 @dataclass
@@ -142,15 +109,6 @@ class SimTaskOutcome:
 class BatchTaskOutcome:
     results: list[SimResult]  # positions match the payload's prefetchers
     seconds: float
-
-
-def build_workload_trace(
-    workload: str, scale: float, budget_fraction: float, seed: int
-) -> Trace:
-    """Build one trace exactly like ``GridRunner.trace`` does."""
-    spec = get_workload(workload)
-    budget = max(1000, int(spec.default_accesses * scale * budget_fraction))
-    return build_trace(spec, scale=scale, max_accesses=budget, seed=seed)
 
 
 def apply_injection(inject: InjectSpec | None,
@@ -181,45 +139,29 @@ def apply_injection(inject: InjectSpec | None,
     )
 
 
+def _load(payload: TraceTaskPayload) -> tuple[Trace, str]:
+    from repro.harness.runner import load_trace
+
+    return load_trace(payload.workload, payload.scale,
+                      payload.budget_fraction, payload.seed, payload.path,
+                      payload.key)
+
+
 def execute_trace_task(payload: TraceTaskPayload) -> TraceTaskOutcome:
-    """Worker entry point: materialize one trace file."""
+    """Task entry point: materialize one trace."""
     started = time.perf_counter()
-    path = Path(payload.path)
-    disk_hit = False
-    rebuilt_corrupt = False
-    trace: Trace | None = None
-    if path.exists():
-        trace = try_read_trace(path)
-        if trace is None:
-            rebuilt_corrupt = True
-            path.unlink(missing_ok=True)
-        else:
-            disk_hit = True
-    if trace is None:
-        trace = build_workload_trace(
-            payload.workload, payload.scale, payload.budget_fraction,
-            payload.seed,
-        )
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_trace(trace, path)
-    _remember_trace(str(path), trace)
-    return TraceTaskOutcome(
-        workload=payload.workload,
-        path=str(path),
-        events=len(trace.events),
-        seconds=time.perf_counter() - started,
-        disk_hit=disk_hit,
-        rebuilt_corrupt=rebuilt_corrupt,
-    )
+    _, source = _load(payload)
+    return TraceTaskOutcome(source=source,
+                            seconds=time.perf_counter() - started)
 
 
 def execute_sim_task(payload: SimTaskPayload) -> SimTaskOutcome:
-    """Worker entry point: simulate one grid cell."""
+    """Task entry point: simulate one grid cell."""
     from repro.harness.registry import make_prefetcher
 
     apply_injection(payload.inject, payload.inject_counter_path)
     started = time.perf_counter()
-    trace = _load_trace(payload.trace_path)
+    trace, _ = _load(payload.trace)
     result = simulate(payload.config, make_prefetcher(payload.prefetcher),
                       trace)
     result.prefetcher = payload.prefetcher
@@ -228,11 +170,11 @@ def execute_sim_task(payload: SimTaskPayload) -> SimTaskOutcome:
 
 
 def execute_batch_task(payload: BatchTaskPayload) -> BatchTaskOutcome:
-    """Worker entry point: simulate one workload's cells as a batch."""
+    """Task entry point: simulate one workload's cells as a batch."""
     from repro.sim.batch import BatchLane, BatchSimulationEngine
 
     started = time.perf_counter()
-    trace = _load_trace(payload.trace_path)
+    trace, _ = _load(payload.trace)
     lanes = [BatchLane(prefetcher=name, config=payload.config)
              for name in payload.prefetchers]
     results = BatchSimulationEngine(lanes).run(trace)
@@ -245,36 +187,15 @@ def execute_batch_task(payload: BatchTaskPayload) -> BatchTaskOutcome:
                             seconds=time.perf_counter() - started)
 
 
-def _load_trace(path: str) -> Trace:
-    cached = _TRACE_CACHE.get(path)
-    if cached is not None:
-        _TRACE_CACHE.move_to_end(path)
-        return cached
-    trace = try_read_trace(path)
-    if trace is None:
-        raise ExecError(f"trace file {path} is missing or corrupt")
-    _remember_trace(path, trace)
-    return trace
-
-
-def _remember_trace(path: str, trace: Trace) -> None:
-    _TRACE_CACHE[path] = trace
-    _TRACE_CACHE.move_to_end(path)
-    while len(_TRACE_CACHE) > _TRACE_CACHE_CAPACITY:
-        _TRACE_CACHE.popitem(last=False)
-    total = sum(trace_nbytes(cached) for cached in _TRACE_CACHE.values())
-    while total > _TRACE_CACHE_MAX_BYTES and len(_TRACE_CACHE) > 1:
-        _, evicted = _TRACE_CACHE.popitem(last=False)
-        total -= trace_nbytes(evicted)
-
-
 class WorkerPool:
-    """A restartable process pool.
+    """A restartable process pool, or in-process execution for one job.
 
     The executor is created lazily and can be torn down and rebuilt at
     any point: :meth:`restart` terminates the worker processes (so a
     hung task dies with its worker) and drops every outstanding future —
-    the scheduler owns resubmission.
+    the scheduler owns resubmission.  With ``jobs=1`` there is no
+    executor: :meth:`submit` runs the task at once and returns a
+    completed future.
     """
 
     def __init__(self, jobs: int) -> None:
@@ -282,6 +203,10 @@ class WorkerPool:
             raise ExecError("worker pool needs at least one job slot")
         self.jobs = jobs
         self._executor: ProcessPoolExecutor | None = None
+
+    @property
+    def in_process(self) -> bool:
+        return self.jobs == 1
 
     def _ensure(self) -> ProcessPoolExecutor:
         if self._executor is None:
@@ -296,7 +221,14 @@ class WorkerPool:
         return self._executor
 
     def submit(self, fn: Callable, payload: object) -> Future:
-        return self._ensure().submit(fn, payload)
+        if not self.in_process:
+            return self._ensure().submit(fn, payload)
+        future: Future = Future()
+        try:
+            future.set_result(fn(payload))
+        except Exception as error:
+            future.set_exception(error)
+        return future
 
     def restart(self) -> None:
         """Kill the workers and start fresh (outstanding futures die)."""

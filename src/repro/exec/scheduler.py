@@ -6,8 +6,8 @@ completion:
 1. every simulation node is probed against the result cache — hits are
    returned without scheduling any work;
 2. the remaining cells group by workload; each workload's trace-build
-   task is dispatched to the worker pool, and its simulation tasks are
-   released the moment the trace lands (no barrier between workloads);
+   task runs first, and its simulation tasks are released the moment the
+   trace lands (no barrier between workloads);
 3. every task attempt is wrapped with an optional timeout, bounded retry
    with exponential backoff, and worker-crash recovery.  Failures are
    classified (:func:`repro.common.errors.classify_error`): permanent
@@ -21,16 +21,19 @@ completion:
    its remaining cells are skipped, letting the grid complete with
    explicit holes instead of burning the retry budget cell by cell.
 
+One loop executes every grid, whatever ``jobs`` is: it keeps at most
+``jobs`` tasks in flight on a :class:`~repro.exec.pool.WorkerPool`, and
+released simulations go ahead of trace builds that have not started.
+With ``jobs=1`` the pool runs each task in-process the moment it is
+submitted, so a serial grid runs trace *w*, then its cells, then the
+next workload.
+
 Durability: when a :class:`~repro.exec.journal.RunJournal` is supplied,
 every outcome (cache hit, completed task, quarantine, degradation) is
 appended to it with an fsync, and a prior run's
 :class:`~repro.exec.journal.RunReplay` can be *carried* in: completed
 cells replay through the cache, and quarantine/degradation decisions are
 preserved instead of re-attempted.
-
-``jobs=1`` runs everything in-process (no pool, no pickling) through the
-same cache/telemetry bookkeeping, so serial runs stay bit-identical to
-the historical path while still benefiting from the result cache.
 """
 
 from __future__ import annotations
@@ -38,18 +41,14 @@ from __future__ import annotations
 import os
 import tempfile
 import time
+from collections import deque
 from concurrent.futures import CancelledError, FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
 from repro import obs
-from repro.common.errors import (
-    ErrorKind,
-    ExecError,
-    PermanentError,
-    classify_error,
-)
+from repro.common.errors import ErrorKind, classify_error
 from repro.exec import faults
 from repro.exec import telemetry as telemetry_module
 from repro.exec.cache import ResultCache
@@ -62,16 +61,12 @@ from repro.exec.pool import (
     SimTaskPayload,
     TraceTaskPayload,
     WorkerPool,
-    build_workload_trace,
     execute_batch_task,
     execute_sim_task,
     execute_trace_task,
 )
 from repro.exec.telemetry import ExecTelemetry
-from repro.sim.batch import BatchLane, BatchSimulationEngine
-from repro.sim.engine import SimulationEngine, simulate
 from repro.sim.results import SimResult
-from repro.trace.stream import Trace
 
 #: Progress callback signature: (workload, prefetcher) per finished cell.
 Progress = Callable[[str, str], None]
@@ -96,14 +91,12 @@ class ExecOptions:
             breaker.
         engine: simulation engine tier.  ``"auto"`` (default) picks the
             fast per-cell engine, upgrading a workload's cells to the
-            batch backend when at least ``batch_threshold`` of them
-            share its trace; ``"fast"`` / ``"reference"`` /
-            ``"batch"`` force one tier.  Cells with fault injection
-            never batch (injection is a per-cell facility), and a
-            failed batch is demoted once to per-cell execution rather
-            than retried, so every failure policy stays per-cell.
-        batch_threshold: minimum cells sharing one trace before
-            ``"auto"`` upgrades them to the batch backend.
+            batch backend when at least :data:`BATCH_THRESHOLD` of them
+            share its trace; ``"fast"`` / ``"batch"`` force one tier.
+            Cells with fault injection never batch (injection is a
+            per-cell facility), and a failed batch is demoted once to
+            per-cell execution rather than retried, so every failure
+            policy stays per-cell.
     """
 
     jobs: int | None = None
@@ -112,7 +105,6 @@ class ExecOptions:
     retry_backoff: float = 0.05
     breaker_threshold: int = 3
     engine: str = "auto"
-    batch_threshold: int = 8
 
     def effective_jobs(self) -> int:
         if self.jobs is None:
@@ -121,7 +113,11 @@ class ExecOptions:
 
 
 #: Engine tiers accepted by :attr:`ExecOptions.engine`.
-ENGINE_TIERS = ("auto", "fast", "reference", "batch")
+ENGINE_TIERS = ("auto", "fast", "batch")
+
+#: Minimum inject-free cells sharing one trace before ``"auto"`` runs
+#: them as one batch.
+BATCH_THRESHOLD = 8
 
 
 def _should_batch(options: ExecOptions, eligible: int) -> bool:
@@ -129,12 +125,12 @@ def _should_batch(options: ExecOptions, eligible: int) -> bool:
     if options.engine == "batch":
         return eligible >= 1
     if options.engine == "auto":
-        return eligible >= max(1, options.batch_threshold)
+        return eligible >= BATCH_THRESHOLD
     return False
 
 
 class _GridState:
-    """Failure-policy bookkeeping shared by the serial and pool paths."""
+    """Failure-policy bookkeeping for one grid run."""
 
     def __init__(
         self,
@@ -150,15 +146,23 @@ class _GridState:
         self.journal = journal
         self.breaker: dict[str, int] = {}
         self.degraded: dict[str, str] = {}
+        self._keys: dict[tuple[str, str], str] = {}
         if carried is not None:
             for workload, reason in carried.degraded.items():
                 self.degraded[workload] = reason or "carried from prior run"
 
+    def key(self, node: SimNode) -> str:
+        """The cell's result-cache key (computed once per run)."""
+        key = self._keys.get(node.cell)
+        if key is None:
+            key = self._keys[node.cell] = node.key(self.plan.config)
+        return key
+
     def journal_done(self, node: SimNode, source: str) -> None:
         if self.journal is not None:
             self.journal.task_done(
-                node.name, "sim", cell=node.cell,
-                key=node.key(self.plan.config), source=source,
+                node.name, "sim", cell=node.cell, key=self.key(node),
+                source=source,
             )
 
     def journal_trace_done(self, name: str) -> None:
@@ -174,17 +178,15 @@ class _GridState:
             self.journal.task_quarantined(name, kind, reason, attempts,
                                           classification, cell=cell)
 
-    def record_sim_failure(self, workload: str) -> bool:
-        """Count one quarantined sim; True if the breaker just tripped."""
+    def record_sim_failure(self, workload: str) -> None:
+        """Count one quarantined sim; trips the breaker at its threshold."""
         count = self.breaker.get(workload, 0) + 1
         self.breaker[workload] = count
         threshold = self.options.breaker_threshold
-        if threshold > 0 and count >= threshold and workload not in self.degraded:
-            reason = (f"{count} simulation(s) quarantined "
-                      f"(breaker threshold {threshold})")
-            self.degrade(workload, reason, count)
-            return True
-        return False
+        if threshold > 0 and count >= threshold:
+            self.degrade(workload,
+                         f"{count} simulation(s) quarantined "
+                         f"(breaker threshold {threshold})", count)
 
     def degrade(self, workload: str, reason: str, failures: int) -> None:
         if workload in self.degraded:
@@ -194,14 +196,15 @@ class _GridState:
         if self.journal is not None:
             self.journal.workload_degraded(workload, reason, failures)
 
-    def skip_degraded(self, node: SimNode) -> None:
-        """Drop one pending sim of a degraded workload (no attempts)."""
+    def skip_degraded(self, name: str, workload: str,
+                      cell: tuple[str, str] | None,
+                      attempts: int = 0) -> None:
+        """Drop one pending sim of a degraded workload."""
         self.telemetry.tasks_queued = max(0, self.telemetry.tasks_queued - 1)
         self.quarantine(
-            node.name, "sim",
-            f"workload {node.workload} is DEGRADED: "
-            f"{self.degraded[node.workload]}",
-            0, "degraded", cell=node.cell,
+            name, "sim",
+            f"workload {workload} is DEGRADED: {self.degraded[workload]}",
+            attempts, "degraded", cell=cell,
         )
 
 
@@ -211,7 +214,6 @@ def execute_grid(
     options: ExecOptions | None = None,
     cache: ResultCache | None = None,
     trace_dir: str | Path | None = None,
-    trace_provider: Callable[[str], Trace] | None = None,
     inject: Mapping[tuple[str, str], InjectSpec] | None = None,
     progress: Progress | None = None,
     stats_path: str | Path | None = None,
@@ -228,11 +230,9 @@ def execute_grid(
 
     Args:
         cache: result cache; probed before scheduling, filled after.
-        trace_dir: where built traces are persisted for workers to read
-            (a private temporary directory is used when omitted).
-        trace_provider: in-process trace source used on the serial path
-            (``GridRunner.trace``), so serial runs share the caller's
-            trace caches.
+        trace_dir: where built traces are persisted.  When omitted,
+            in-process runs keep traces in memory only and pool runs
+            share them through a private temporary directory.
         inject: test-only fault injection per (workload, prefetcher).
         stats_path: where to persist the telemetry JSON snapshot.
         journal: write-ahead run journal; every outcome is appended.
@@ -243,11 +243,11 @@ def execute_grid(
             instead of creating (and tearing down) a private one — the
             serve broker batches many small grids through one long-lived
             pool this way.  The caller keeps ownership: the pool is left
-            running on return (its worker count also overrides
-            ``options.jobs`` on the pool path).
+            running on return, and its worker count overrides
+            ``options.jobs``.
     """
     options = options or ExecOptions()
-    jobs = options.effective_jobs()
+    jobs = pool.jobs if pool is not None else options.effective_jobs()
     if telemetry is None:
         telemetry = ExecTelemetry()
     telemetry.jobs = jobs
@@ -280,7 +280,7 @@ def execute_grid(
             )
             continue
         if cache is not None:
-            hit = cache.get(node.key(plan.config))
+            hit = cache.get(state.key(node))
             if hit is not None:
                 telemetry.cache_hits += 1
                 if node.cell in carried_completed:
@@ -301,20 +301,12 @@ def execute_grid(
                 )
         misses.append(node)
 
-    if pool is not None and jobs <= 1:
-        # A borrowed pool implies the pool path even for one worker —
-        # the owner sized it deliberately.
-        jobs = max(jobs, pool.jobs)
     try:
         if misses:
-            if jobs <= 1:
-                _run_serial(plan, misses, results, cache, state,
-                            trace_provider, dict(inject or {}), options,
-                            progress)
-            else:
-                _run_pool(plan, misses, results, cache, state,
-                          trace_dir, dict(inject or {}), options, progress,
-                          jobs, shared_pool=pool)
+            _run_tasks(plan, misses, results, cache, state, trace_dir,
+                       dict(inject or {}), options, progress,
+                       pool if pool is not None else WorkerPool(jobs),
+                       owned=pool is None)
     finally:
         telemetry.finish()
         telemetry_module.LAST_RUN = telemetry
@@ -331,201 +323,6 @@ def execute_grid(
     return results, telemetry
 
 
-def _group_by_workload(nodes: list[SimNode]) -> dict[str, list[SimNode]]:
-    groups: dict[str, list[SimNode]] = {}
-    for node in nodes:
-        groups.setdefault(node.workload, []).append(node)
-    return groups
-
-
-# ---------------------------------------------------------------------------
-# Serial (jobs=1) path
-# ---------------------------------------------------------------------------
-
-
-def _run_serial(
-    plan: GridPlan,
-    misses: list[SimNode],
-    results: dict[tuple[str, str], SimResult],
-    cache: ResultCache | None,
-    state: _GridState,
-    trace_provider: Callable[[str], Trace] | None,
-    inject: dict[tuple[str, str], InjectSpec],
-    options: ExecOptions,
-    progress: Progress | None,
-) -> None:
-    from repro.harness.registry import make_prefetcher
-
-    telemetry = state.telemetry
-    groups = _group_by_workload(misses)
-    telemetry.task_queued(len(groups) + len(misses))
-    for workload, nodes in groups.items():
-        trace_node = plan.trace_nodes[workload]
-        telemetry.task_started()
-        started = time.perf_counter()
-        try:
-            if trace_provider is not None:
-                trace = trace_provider(workload)
-            else:
-                trace = build_workload_trace(
-                    workload, trace_node.scale, trace_node.budget_fraction,
-                    trace_node.seed,
-                )
-        except Exception as error:
-            telemetry.task_failed_attempt()
-            kind = classify_error(error)
-            state.quarantine(trace_node.name, "trace", str(error), 1,
-                             kind.value)
-            state.degrade(workload, f"trace build failed: {error}", 1)
-            for node in nodes:
-                telemetry.tasks_queued = max(0, telemetry.tasks_queued - 1)
-                state.quarantine(
-                    node.name, "sim",
-                    f"trace build for {workload} was quarantined", 0,
-                    "degraded", cell=node.cell,
-                )
-            continue
-        telemetry.traces_built += 1
-        telemetry.task_finished(trace_node.name, "trace",
-                                time.perf_counter() - started, 1)
-        state.journal_trace_done(trace_node.name)
-
-        # Engine-tier selection: cells without fault injection may run
-        # as one batch over the shared trace; a failed batch falls back
-        # to the per-cell loop below, which owns every failure policy.
-        pending = list(nodes)
-        batchable = [node for node in pending
-                     if inject.get(node.cell) is None
-                     and node.workload not in state.degraded]
-        if _should_batch(options, len(batchable)):
-            done = _run_serial_batch(plan, batchable, results, cache,
-                                     state, trace, progress)
-            if done:
-                pending = [node for node in pending
-                           if node not in batchable]
-
-        for node in pending:
-            if node.workload in state.degraded:
-                state.skip_degraded(node)
-                continue
-            spec = inject.get(node.cell)
-            counter = [0]
-            attempts = 0
-            while True:
-                telemetry.task_started()
-                started = time.perf_counter()
-                try:
-                    _apply_serial_injection(spec, counter)
-                    if options.engine == "reference":
-                        engine = SimulationEngine(
-                            plan.config, make_prefetcher(node.prefetcher)
-                        )
-                        result = engine.run_reference(trace)
-                    else:
-                        result = simulate(
-                            plan.config, make_prefetcher(node.prefetcher),
-                            trace,
-                        )
-                    result.prefetcher = node.prefetcher
-                except Exception as error:
-                    telemetry.task_failed_attempt()
-                    attempts += 1
-                    error_kind = classify_error(error)
-                    permanent = error_kind is ErrorKind.PERMANENT
-                    if permanent or attempts > options.max_retries:
-                        state.quarantine(node.name, "sim", str(error),
-                                         attempts, error_kind.value,
-                                         cell=node.cell)
-                        state.record_sim_failure(node.workload)
-                        break
-                    telemetry.retries += 1
-                    time.sleep(options.retry_backoff * (2 ** (attempts - 1)))
-                    continue
-                telemetry.sims_run += 1
-                telemetry.task_finished(node.name, "sim",
-                                        time.perf_counter() - started,
-                                        attempts + 1)
-                results[node.cell] = result
-                if cache is not None:
-                    cache.put(node.key(plan.config), result)
-                state.journal_done(node, source="run")
-                if progress is not None:
-                    progress(*node.cell)
-                faults.check("task-done")
-                break
-
-
-def _run_serial_batch(
-    plan: GridPlan,
-    nodes: list[SimNode],
-    results: dict[tuple[str, str], SimResult],
-    cache: ResultCache | None,
-    state: _GridState,
-    trace: Trace,
-    progress: Progress | None,
-) -> bool:
-    """Run one workload group as a batch; False demotes it to per-cell.
-
-    Batch execution is all-or-nothing: the backend raises before
-    returning any result, so a failure leaves no partial state and the
-    caller simply re-runs every cell through the per-cell loop (whose
-    retry/quarantine policy then applies per cell).
-    """
-    telemetry = state.telemetry
-    lanes = [BatchLane(prefetcher=node.prefetcher, config=plan.config)
-             for node in nodes]
-    started = time.perf_counter()
-    try:
-        batch_results = BatchSimulationEngine(lanes).run(trace)
-    except Exception as error:
-        telemetry_module.logger.warning(
-            "batch engine failed for %s (%s); demoting %d cell(s) to "
-            "per-cell execution", nodes[0].workload, error, len(nodes),
-        )
-        return False
-    share = (time.perf_counter() - started) / len(nodes)
-    for node, result in zip(nodes, batch_results):
-        result.prefetcher = node.prefetcher
-        telemetry.task_started()
-        telemetry.sims_run += 1
-        telemetry.batched_cells += 1
-        telemetry.task_finished(node.name, "sim", share, 1)
-        results[node.cell] = result
-        if cache is not None:
-            cache.put(node.key(plan.config), result)
-        state.journal_done(node, source="run")
-        if progress is not None:
-            progress(*node.cell)
-        faults.check("task-done")
-    return True
-
-
-def _apply_serial_injection(spec: InjectSpec | None, counter: list[int]) -> None:
-    """Honour an in-process injection spec.
-
-    Only the raise modes are meaningful in-process: ``crash`` and
-    ``hang`` would take the caller down with them, so (as documented on
-    :class:`InjectSpec`) they are ignored on the serial path.
-    """
-    if spec is None or counter[0] >= spec.times:
-        return
-    counter[0] += 1
-    if spec.mode == "raise-permanent":
-        raise PermanentError(
-            f"injected permanent failure (attempt {counter[0]} of "
-            f"{spec.times})"
-        )
-    if spec.mode == "raise":
-        raise ExecError(
-            f"injected failure (attempt {counter[0]} of {spec.times})"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Pool (jobs>1) path
-# ---------------------------------------------------------------------------
-
-
 @dataclass(eq=False)
 class _TaskState:
     """Scheduler-side bookkeeping for one DAG task (identity-hashed)."""
@@ -536,15 +333,19 @@ class _TaskState:
     cell: tuple[str, str] | None
     payload: object
     fn: Callable
+    #: The grid cells a "sim" (one) or "batch" (several) task produces.
+    nodes: list[SimNode]
     attempts: int = 0
     future: Future | None = None
     submitted_at: float = 0.0
-    #: The grid cells a "batch" task carries (demotion fans these back
-    #: out as individual sim tasks).
-    nodes: list[SimNode] | None = None
 
 
-def _run_pool(
+#: Injection modes an in-process task can honour: ``crash`` and ``hang``
+#: would take the scheduler down with them (see :class:`InjectSpec`).
+_IN_PROCESS_INJECT_MODES = ("raise", "raise-permanent")
+
+
+def _run_tasks(
     plan: GridPlan,
     misses: list[SimNode],
     results: dict[tuple[str, str], SimResult],
@@ -554,58 +355,61 @@ def _run_pool(
     inject: dict[tuple[str, str], InjectSpec],
     options: ExecOptions,
     progress: Progress | None,
-    jobs: int,
-    shared_pool: WorkerPool | None = None,
+    pool: WorkerPool,
+    owned: bool,
 ) -> None:
+    """The grid executor: every task of every grid runs through here."""
     telemetry = state.telemetry
     temporary = (tempfile.TemporaryDirectory(prefix="repro-exec-")
                  if trace_dir is None else None)
-    trace_root = Path(temporary.name if temporary else trace_dir)
-    trace_root.mkdir(parents=True, exist_ok=True)
+    root = Path(temporary.name if temporary else trace_dir)
+    root.mkdir(parents=True, exist_ok=True)
+    # Pool workers share traces through files; in-process tasks share
+    # the trace LRU, so without a trace_dir they touch no disk.
+    traces_on_disk = trace_dir is not None or not pool.in_process
 
-    groups = _group_by_workload(misses)
-    waiting: dict[str, list[SimNode]] = {w: list(n) for w, n in groups.items()}
-    pool = shared_pool if shared_pool is not None else WorkerPool(jobs)
-    active: list[_TaskState] = []
+    waiting: dict[str, list[SimNode]] = {}  # sims not released yet
+    for node in misses:
+        waiting.setdefault(node.workload, []).append(node)
+    traces: deque[_TaskState] = deque()  # trace builds not started
+    sims: deque[_TaskState] = deque()  # released sims and batches
     # After a pool break the culprit is ambiguous (every in-flight future
     # dies), so suspects are re-run one at a time: a repeat crash then
     # charges exactly the task in flight, and healthy tasks are never
     # quarantined for a neighbour's crash.
-    probe_queue: list[_TaskState] = []
-    _probing = [False]  # True while the single in-flight task is a suspect
-    sim_keys = {node.cell: node.key(plan.config) for node in misses}
+    suspects: deque[_TaskState] = deque()
+    active: list[_TaskState] = []
+    probe: _TaskState | None = None  # a suspect in flight runs alone
 
-    def submit(task: _TaskState) -> None:
-        telemetry.task_started()
-        try:
-            task.future = pool.submit(task.fn, task.payload)
-        except Exception:
-            # The executor broke between our crash detection and this
-            # submission; rebuild it once and retry.
-            pool.restart()
-            task.future = pool.submit(task.fn, task.payload)
-        task.submitted_at = time.monotonic()
+    def queue_of(task: _TaskState) -> deque[_TaskState]:
+        return traces if task.kind == "trace" else sims
 
-    def dispatch(task: _TaskState) -> None:
-        """Run a task: immediately, or queued behind the serial probe."""
-        if task.kind == "sim" and task.workload in state.degraded:
-            telemetry.tasks_queued = max(0, telemetry.tasks_queued - 1)
-            state.quarantine(
-                task.name, "sim",
-                f"workload {task.workload} is DEGRADED: "
-                f"{state.degraded[task.workload]}",
-                task.attempts, "degraded", cell=task.cell,
+    def make_sim(node: SimNode, trace: TraceTaskPayload) -> _TaskState:
+        spec = inject.get(node.cell)
+        if (spec is not None and pool.in_process
+                and spec.mode not in _IN_PROCESS_INJECT_MODES):
+            spec = None
+        counter = (str(root / f"inject-{short_digest(*node.cell)}.count")
+                   if spec is not None else None)
+        payload = SimTaskPayload(node.prefetcher, plan.config, trace, spec,
+                                 counter)
+        return _TaskState("sim", node.name, node.workload, node.cell,
+                          payload, execute_sim_task, [node])
+
+    def release(task: _TaskState) -> None:
+        """Queue the sims of a workload whose trace just landed."""
+        nodes = waiting.pop(task.workload, [])
+        batchable = [node for node in nodes if node.cell not in inject]
+        if _should_batch(options, len(batchable)):
+            payload = BatchTaskPayload(
+                tuple(node.prefetcher for node in batchable), plan.config,
+                task.payload,
             )
-            return
-        if task.kind == "batch" and task.workload in state.degraded:
-            for node in task.nodes or []:
-                state.skip_degraded(node)
-            return
-        if probe_queue or _probing[0]:
-            probe_queue.append(task)
-        else:
-            submit(task)
-            active.append(task)
+            sims.append(_TaskState("batch", f"batch:{task.workload}",
+                                   task.workload, None, payload,
+                                   execute_batch_task, batchable))
+            nodes = [node for node in nodes if node.cell in inject]
+        sims.extend(make_sim(node, task.payload) for node in nodes)
 
     def demote(task: _TaskState) -> None:
         """Fan a failed batch back out as individual sim tasks.
@@ -615,170 +419,144 @@ def _run_pool(
         cell-level fault (e.g. one poisoned prefetcher) is then charged
         to exactly that cell by the ordinary per-cell policy.
         """
-        trace_path = task.payload.trace_path
         telemetry_module.logger.warning(
             "batch task %s failed; demoting %d cell(s) to per-cell "
-            "execution", task.name, len(task.nodes or []),
+            "execution", task.name, len(task.nodes),
         )
         # The batch consumed one queued slot for its N cells; restore it
-        # so the N per-cell dispatches below balance the ledger.
+        # so the N per-cell tasks balance the ledger.
         telemetry.tasks_queued += 1
-        for node in task.nodes or []:
-            dispatch(make_sim_state(node, trace_path))
+        sims.extendleft(reversed([make_sim(node, task.payload.trace)
+                                  for node in task.nodes]))
 
     def quarantine(task: _TaskState, reason: str,
                    classification: str) -> None:
         state.quarantine(task.name, task.kind, reason, task.attempts,
                          classification, cell=task.cell)
-        if task.kind == "trace":
-            state.degrade(task.workload, f"trace build failed: {reason}",
-                          task.attempts)
-            for node in waiting.pop(task.workload, []):
-                telemetry.tasks_queued = max(0, telemetry.tasks_queued - 1)
-                state.quarantine(
-                    node.name, "sim",
-                    f"trace build for {task.workload} was quarantined", 0,
-                    "degraded", cell=node.cell,
-                )
+        if task.kind == "sim":
+            state.record_sim_failure(task.workload)
+            return
+        state.degrade(task.workload, f"trace build failed: {reason}",
+                      task.attempts)
+        for node in waiting.pop(task.workload, []):
+            telemetry.tasks_queued = max(0, telemetry.tasks_queued - 1)
+            state.quarantine(
+                node.name, "sim",
+                f"trace build for {task.workload} was quarantined", 0,
+                "degraded", cell=node.cell,
+            )
+
+    def charge(task: _TaskState, reason: str, classification: str,
+               suspect: bool = False) -> None:
+        """One failed attempt: demote a batch, else quarantine or retry."""
+        telemetry.task_failed_attempt()
+        task.attempts += 1
+        if task.kind == "batch":
+            demote(task)
+        elif (classification == ErrorKind.PERMANENT.value
+              or task.attempts > options.max_retries):
+            quarantine(task, reason, classification)
+        elif task.kind == "sim" and task.workload in state.degraded:
+            state.skip_degraded(task.name, task.workload, task.cell,
+                                task.attempts)
         else:
-            if state.record_sim_failure(task.workload):
-                _drop_degraded_pending(task.workload)
-
-    def _drop_degraded_pending(workload: str) -> None:
-        """Skip every not-yet-running sim of a freshly degraded workload."""
-        for node in waiting.pop(workload, []):
-            state.skip_degraded(node)
-        keep: list[_TaskState] = []
-        for queued in probe_queue:
-            if queued.kind == "batch" and queued.workload == workload:
-                for node in queued.nodes or []:
-                    state.skip_degraded(node)
-                continue
-            if queued.kind == "sim" and queued.workload == workload:
-                telemetry.tasks_queued = max(0, telemetry.tasks_queued - 1)
-                state.quarantine(
-                    queued.name, "sim",
-                    f"workload {workload} is DEGRADED: "
-                    f"{state.degraded[workload]}",
-                    queued.attempts, "degraded", cell=queued.cell,
-                )
-            else:
-                keep.append(queued)
-        probe_queue[:] = keep
-
-    def make_sim_state(node: SimNode, trace_path: str) -> _TaskState:
-        spec = inject.get(node.cell)
-        counter = None
-        if spec is not None:
-            counter = str(trace_root /
-                          f"inject-{short_digest(*node.cell)}.count")
-        payload = SimTaskPayload(
-            workload=node.workload,
-            prefetcher=node.prefetcher,
-            config=plan.config,
-            trace_path=trace_path,
-            inject=spec,
-            inject_counter_path=counter,
-        )
-        return _TaskState("sim", node.name, node.workload, node.cell,
-                          payload, execute_sim_task)
-
-    def make_batch_state(nodes: list[SimNode],
-                         trace_path: str) -> _TaskState:
-        payload = BatchTaskPayload(
-            workload=nodes[0].workload,
-            prefetchers=tuple(node.prefetcher for node in nodes),
-            config=plan.config,
-            trace_path=trace_path,
-        )
-        return _TaskState("batch", f"batch:{nodes[0].workload}",
-                          nodes[0].workload, None, payload,
-                          execute_batch_task, nodes=list(nodes))
+            telemetry.retries += 1
+            time.sleep(options.retry_backoff * (2 ** (task.attempts - 1)))
+            telemetry.tasks_queued += 1
+            (suspects if suspect else queue_of(task)).appendleft(task)
 
     def complete(task: _TaskState, outcome) -> None:
         if task.kind == "trace":
-            if outcome.disk_hit:
+            if outcome.source in ("memory", "disk"):
                 telemetry.trace_disk_hits += 1
             else:
                 telemetry.traces_built += 1
-            if outcome.rebuilt_corrupt:
+            if outcome.source == "rebuilt":
                 telemetry.corrupt_traces += 1
             telemetry.task_finished(task.name, "trace", outcome.seconds,
                                     task.attempts + 1)
             state.journal_trace_done(task.name)
-            released = waiting.pop(task.workload, [])
-            batchable = [node for node in released
-                         if inject.get(node.cell) is None]
-            if _should_batch(options, len(batchable)):
-                dispatch(make_batch_state(batchable, outcome.path))
-                released = [node for node in released
-                            if node not in batchable]
-            for node in released:
-                dispatch(make_sim_state(node, outcome.path))
-        elif task.kind == "batch":
-            nodes = task.nodes or []
-            share = outcome.seconds / max(1, len(nodes))
-            for index, (node, result) in enumerate(zip(nodes,
-                                                       outcome.results)):
-                if index > 0:
-                    # The batch consumed one queued slot; its remaining
-                    # cells move queued -> done here.
-                    telemetry.task_started()
-                telemetry.sims_run += 1
-                telemetry.batched_cells += 1
-                telemetry.task_finished(node.name, "sim", share,
-                                        task.attempts + 1)
-                results[node.cell] = result
-                if cache is not None:
-                    cache.put(sim_keys[node.cell], result)
-                if state.journal is not None:
-                    state.journal.task_done(node.name, "sim",
-                                            cell=node.cell,
-                                            key=sim_keys[node.cell],
-                                            source="run")
-                if progress is not None:
-                    progress(*node.cell)
-        else:
+            release(task)
+            return
+        produced = (outcome.results if task.kind == "batch"
+                    else [outcome.result])
+        share = outcome.seconds / len(task.nodes)
+        for index, (node, result) in enumerate(zip(task.nodes, produced)):
+            if index > 0:
+                # A batch consumed one queued slot; its remaining cells
+                # move queued -> done here.
+                telemetry.task_started()
             telemetry.sims_run += 1
-            telemetry.task_finished(task.name, "sim", outcome.seconds,
+            if task.kind == "batch":
+                telemetry.batched_cells += 1
+            telemetry.task_finished(node.name, "sim", share,
                                     task.attempts + 1)
-            result = outcome.result
-            results[task.cell] = result
+            results[node.cell] = result
             if cache is not None:
-                cache.put(sim_keys[task.cell], result)
-            if state.journal is not None:
-                state.journal.task_done(task.name, "sim", cell=task.cell,
-                                        key=sim_keys[task.cell],
-                                        source="run")
+                cache.put(state.key(node), result)
+            state.journal_done(node, source="run")
             if progress is not None:
-                progress(*task.cell)
-        faults.check("task-done")
+                progress(*node.cell)
+            faults.check("task-done")
 
-    telemetry.task_queued(len(groups) + len(misses))
-    for workload in groups:
+    def settle(task: _TaskState) -> None:
+        nonlocal probe
+        active.remove(task)
+        if task is probe:
+            probe = None
+
+    def pump() -> None:
+        """Fill free slots: suspects alone, then sims, then trace builds.
+
+        The only place tasks are submitted, so an in-process pool (which
+        runs a task inside ``submit``) never recurses.
+        """
+        nonlocal probe
+        while probe is None:
+            suspect = bool(suspects)
+            if suspect and active:
+                return
+            if suspect:
+                task = suspects.popleft()
+            elif len(active) >= pool.jobs:
+                return
+            elif sims:
+                task = sims.popleft()
+            elif traces:
+                task = traces.popleft()
+            else:
+                return
+            if task.kind != "trace" and task.workload in state.degraded:
+                for node in task.nodes:
+                    state.skip_degraded(node.name, node.workload, node.cell,
+                                        task.attempts)
+                continue
+            if suspect:
+                probe = task
+            telemetry.task_started()
+            try:
+                task.future = pool.submit(task.fn, task.payload)
+            except Exception:
+                # The executor broke between our crash detection and
+                # this submission; rebuild it once and retry.
+                pool.restart()
+                task.future = pool.submit(task.fn, task.payload)
+            task.submitted_at = time.monotonic()
+            active.append(task)
+
+    for workload in waiting:
         node = plan.trace_nodes[workload]
         payload = TraceTaskPayload(
-            workload=workload,
-            scale=node.scale,
-            budget_fraction=node.budget_fraction,
-            seed=node.seed,
-            path=str(trace_root / node.filename),
+            workload, node.scale, node.budget_fraction, node.seed, node.key,
+            str(root / node.filename) if traces_on_disk else None,
         )
-        task = _TaskState("trace", node.name, workload, None, payload,
-                          execute_trace_task)
-        submit(task)
-        active.append(task)
+        traces.append(_TaskState("trace", node.name, workload, None,
+                                 payload, execute_trace_task, []))
+    telemetry.task_queued(len(traces) + len(misses))
 
     try:
-        while active or probe_queue:
-            if not active and probe_queue:
-                # Pump the serial probe: exactly one suspect in flight,
-                # so a pool break now has an unambiguous culprit.
-                task = probe_queue.pop(0)
-                _probing[0] = True
-                submit(task)
-                active.append(task)
-
+        pump()
+        while active:
             futures = {task.future: task for task in active}
             done, _ = wait(list(futures), timeout=0.25,
                            return_when=FIRST_COMPLETED)
@@ -790,38 +568,14 @@ def _run_pool(
                 except CancelledError:
                     pool_broke = True
                     continue
-                if error is None:
-                    active.remove(task)
-                    _probing[0] = False
-                    complete(task, future.result())
-                elif WorkerPool.is_pool_failure(error):
+                if error is not None and WorkerPool.is_pool_failure(error):
                     pool_broke = True
+                    continue
+                settle(task)
+                if error is None:
+                    complete(task, future.result())
                 else:
-                    active.remove(task)
-                    _probing[0] = False
-                    telemetry.task_failed_attempt()
-                    task.attempts += 1
-                    if task.kind == "batch":
-                        demote(task)
-                        continue
-                    error_kind = classify_error(error)
-                    if (error_kind is ErrorKind.PERMANENT
-                            or task.attempts > options.max_retries):
-                        quarantine(task, str(error), error_kind.value)
-                    elif (task.kind == "sim"
-                          and task.workload in state.degraded):
-                        state.quarantine(
-                            task.name, "sim",
-                            f"workload {task.workload} is DEGRADED: "
-                            f"{state.degraded[task.workload]}",
-                            task.attempts, "degraded", cell=task.cell,
-                        )
-                    else:
-                        telemetry.retries += 1
-                        time.sleep(options.retry_backoff
-                                   * (2 ** (task.attempts - 1)))
-                        telemetry.tasks_queued += 1
-                        dispatch(task)
+                    charge(task, str(error), classify_error(error).value)
 
             if pool_broke:
                 # A worker died and every outstanding future died with
@@ -829,67 +583,46 @@ def _run_pool(
                 telemetry.worker_crashes += 1
                 pool.restart()
                 if len(active) == 1:
-                    # Exactly one task was in flight (e.g. the serial
-                    # probe): attribution is exact, so charge it.
-                    task = active.pop()
-                    _probing[0] = False
-                    telemetry.task_failed_attempt()
-                    task.attempts += 1
-                    if task.kind == "batch":
-                        demote(task)
-                    elif task.attempts > options.max_retries:
-                        quarantine(task, "worker process died", "poisoned")
-                    else:
-                        telemetry.retries += 1
-                        time.sleep(options.retry_backoff
-                                   * (2 ** (task.attempts - 1)))
-                        telemetry.tasks_queued += 1
-                        probe_queue.insert(0, task)
+                    # Exactly one task was in flight (e.g. a suspect):
+                    # attribution is exact, so charge it.
+                    task = active[0]
+                    settle(task)
+                    charge(task, "worker process died", "poisoned",
+                           suspect=True)
                 else:
                     # Several tasks were in flight, so the culprit is
-                    # unknown; move them all — uncharged — to the probe
-                    # queue to be re-run one at a time.
+                    # unknown; move them all — uncharged — to the
+                    # suspects, to be re-run one at a time.
                     for task in active:
                         telemetry.task_failed_attempt()
                         telemetry.tasks_queued += 1
-                    probe_queue[:0] = active
-                    active = []
-                continue
-
-            if options.timeout is not None and active:
+                    suspects.extendleft(reversed(active))
+                    active.clear()
+            elif options.timeout is not None and active:
                 now = time.monotonic()
-                expired = {
-                    task for task in active
-                    if now - task.submitted_at > options.timeout
-                }
+                expired = [task for task in active
+                           if now - task.submitted_at > options.timeout]
                 if expired:
                     # A hung task only dies with its worker, and the
                     # executor cannot survive that — kill the pool and
-                    # resubmit everything, charging only the laggards.
+                    # requeue everything, charging only the laggards.
                     telemetry.timeouts += len(expired)
                     pool.restart()
-                    _probing[0] = False
-                    pending = active
-                    active = []
-                    for task in pending:
-                        telemetry.task_failed_attempt()
+                    pending = list(active)
+                    active.clear()
+                    probe = None
+                    for task in reversed(pending):
                         if task in expired:
-                            task.attempts += 1
-                            if task.kind == "batch":
-                                demote(task)
-                                continue
-                            if task.attempts > options.max_retries:
-                                quarantine(
-                                    task,
-                                    f"timed out after {options.timeout:.1f}s",
-                                    "poisoned",
-                                )
-                                continue
-                            telemetry.retries += 1
-                        telemetry.tasks_queued += 1
-                        dispatch(task)
+                            charge(task,
+                                   f"timed out after {options.timeout:.1f}s",
+                                   "poisoned")
+                        else:
+                            telemetry.task_failed_attempt()
+                            telemetry.tasks_queued += 1
+                            queue_of(task).appendleft(task)
+            pump()
     finally:
-        if shared_pool is None:
+        if owned:
             pool.shutdown()
         if temporary is not None:
             temporary.cleanup()

@@ -29,7 +29,6 @@ from repro import obs
 from repro.sim.config import REDUCED_CONFIG, SimConfig
 from repro.sim.engine import simulate
 from repro.workloads import ALL_WORKLOADS
-from repro.workloads.base import build_trace, get_workload
 
 #: Schema identity of the emitted JSON document.
 BENCH_SCHEMA = "repro.bench.sim_hotpath"
@@ -107,14 +106,11 @@ def result_digest(result: Any) -> str:
 
 
 def _bench_trace(workload: str, grid: BenchGrid):
-    """Build one workload's trace with the same budget rule as GridRunner."""
-    spec = get_workload(workload)
-    budget = max(
-        1000,
-        int(spec.default_accesses * grid.scale * grid.budget_fraction),
-    )
-    return build_trace(spec, scale=grid.scale, max_accesses=budget,
-                       seed=grid.seed)
+    """One workload's trace, built exactly as a grid run builds it."""
+    from repro.harness.runner import load_trace
+
+    return load_trace(workload, grid.scale, grid.budget_fraction,
+                      grid.seed)[0]
 
 
 def _cache_replay(grid: BenchGrid, config: SimConfig,

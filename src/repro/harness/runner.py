@@ -1,16 +1,16 @@
 """Grid runner: (workload x prefetcher) simulations with trace caching.
 
 Traces are expensive to generate (the IR interpreter executes every
-iteration over real data) but identical for every prefetcher, so the
-runner builds each workload's trace once and reuses it across the grid.
-A bounded process-wide in-memory LRU covers repeated experiment calls;
-an optional on-disk cache (the binary trace format) survives processes.
+iteration over real data) but identical for every prefetcher, so each
+workload's trace is built once and reused across the grid.
+:func:`load_trace` is the only code that builds, reads or writes a
+workload trace: a bounded process-wide LRU keyed by the trace's content
+key covers repeated use, and an optional on-disk copy (the binary trace
+format) survives processes.
 
-Grid execution itself delegates to :mod:`repro.exec` whenever
-parallelism (``jobs != 1``) or a result cache is configured: the grid
-becomes a task DAG on a multiprocessing pool with content-addressed
-result caching and fault-tolerant workers.  With ``jobs=1`` and no
-result cache the historical in-process loop runs unchanged.
+Every grid runs through :func:`repro.exec.scheduler.execute_grid`, which
+owns the result cache, the run journal, ``--resume`` and the engine-tier
+selection; ``jobs=1`` runs its tasks in-process.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.common.errors import ExecError
+from repro.exec.keys import trace_filename, trace_key
+from repro.exec.telemetry import count_corrupt_trace
 from repro.metrics.aggregate import ResultGrid
 from repro.prefetchers.base import Prefetcher
 from repro.sim.config import REDUCED_CONFIG, SimConfig
@@ -30,21 +32,84 @@ from repro.trace.io import try_read_trace, write_trace
 from repro.trace.stream import Trace
 from repro.workloads.base import build_trace, get_workload
 
-#: Most-recently-used traces, bounded: a long sweep over many scales
-#: must not retain every trace it ever built.
-_MEMORY_CACHE: "OrderedDict[tuple[str, float, float, int], Trace]" = (
-    OrderedDict()
+#: Most-recently-used traces by content key (one LRU per process, so
+#: each pool worker keeps its own).  Bounded two ways: by entry count,
+#: and by estimated total bytes so a grid of huge traces cannot exhaust
+#: memory that a grid of small traces would sail through.
+_TRACE_CACHE: "OrderedDict[str, Trace]" = OrderedDict()
+_TRACE_CACHE_CAPACITY = 4
+
+#: Total-bytes bound on the trace LRU, tunable via
+#: ``$REPRO_TRACE_CACHE_BYTES`` (default 256 MiB).  The most recently
+#: used trace is always retained even when it alone exceeds the bound,
+#: so repeated sims of one oversized workload still hit.
+_TRACE_CACHE_MAX_BYTES = int(
+    os.environ.get("REPRO_TRACE_CACHE_BYTES", str(256 * 1024 * 1024))
 )
-_MEMORY_CACHE_CAPACITY = 8
+
+#: Rough per-event heap cost of a deserialized ``TraceEvent`` (a small
+#: Python object plus list slot); used to estimate cache footprint
+#: without walking every object graph.
+_EVENT_NBYTES_ESTIMATE = 160
 
 
-def _remember_trace(
-    key: tuple[str, float, float, int], trace: Trace
-) -> None:
-    _MEMORY_CACHE[key] = trace
-    _MEMORY_CACHE.move_to_end(key)
-    while len(_MEMORY_CACHE) > _MEMORY_CACHE_CAPACITY:
-        _MEMORY_CACHE.popitem(last=False)
+def trace_nbytes(trace: Trace) -> int:
+    """Estimated heap footprint of one in-memory trace."""
+    return 1024 + len(trace.events) * _EVENT_NBYTES_ESTIMATE
+
+
+def _remember_trace(key: str, trace: Trace) -> None:
+    _TRACE_CACHE[key] = trace
+    _TRACE_CACHE.move_to_end(key)
+    while len(_TRACE_CACHE) > _TRACE_CACHE_CAPACITY:
+        _TRACE_CACHE.popitem(last=False)
+    total = sum(trace_nbytes(cached) for cached in _TRACE_CACHE.values())
+    while total > _TRACE_CACHE_MAX_BYTES and len(_TRACE_CACHE) > 1:
+        _, evicted = _TRACE_CACHE.popitem(last=False)
+        total -= trace_nbytes(evicted)
+
+
+def load_trace(
+    workload: str,
+    scale: float,
+    budget_fraction: float,
+    seed: int,
+    path: str | Path | None = None,
+    key: str | None = None,
+) -> tuple[Trace, str]:
+    """One workload's annotated trace, and where it came from.
+
+    Looks in the LRU, then reads ``path`` (a corrupt file is logged,
+    deleted and rebuilt), then builds the trace; whatever ``path`` lacks
+    is written there.  ``path=None`` means no disk.  ``key`` is the
+    trace's content key when the caller already has it.  The source is
+    ``"memory"``, ``"disk"``, ``"built"`` or ``"rebuilt"`` (built after
+    discarding a corrupt file).
+    """
+    if key is None:
+        key = trace_key(workload, scale, budget_fraction, seed)
+    path = Path(path) if path is not None else None
+    trace = _TRACE_CACHE.get(key)
+    source = "memory"
+    if trace is None and path is not None and path.exists():
+        trace = try_read_trace(path)
+        source = "disk"
+        if trace is None:
+            # A corrupt or truncated file must not sink the grid:
+            # report it, drop it, rebuild below.
+            count_corrupt_trace(path)
+            path.unlink(missing_ok=True)
+    if trace is None:
+        source = "rebuilt" if source == "disk" else "built"
+        spec = get_workload(workload)
+        budget = max(1000,
+                     int(spec.default_accesses * scale * budget_fraction))
+        trace = build_trace(spec, scale=scale, max_accesses=budget, seed=seed)
+    if path is not None and source != "disk" and not path.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_trace(trace, path)
+    _remember_trace(key, trace)
+    return trace, source
 
 
 class GridRunner:
@@ -70,9 +135,8 @@ class GridRunner:
             ``jobs`` above wins.
         engine: simulation engine tier for :meth:`run_grid` —
             ``"auto"`` (default) batches a workload's cells when enough
-            of them share its trace, ``"fast"`` / ``"reference"`` /
-            ``"batch"`` force a tier (forcing a non-default tier always
-            routes through the execution engine, even in-process).
+            of them share its trace, ``"fast"`` / ``"batch"`` force a
+            tier.
         run_id: explicit identifier for the write-ahead run journal
             (default: a fresh timestamped id per grid run).  Journals
             live under ``cache_dir/runs/<run_id>/journal.jsonl`` and are
@@ -139,43 +203,12 @@ class GridRunner:
 
     def trace(self, workload: str) -> Trace:
         """The (cached) annotated trace for one workload."""
-        key = (workload, self.scale, self.budget_fraction, self.seed)
-        cached = _MEMORY_CACHE.get(key)
-        if cached is not None:
-            _MEMORY_CACHE.move_to_end(key)
-            return cached
-
-        disk_path = self._disk_path(workload)
-        if disk_path is not None and disk_path.exists():
-            trace = try_read_trace(disk_path)
-            if trace is not None:
-                _remember_trace(key, trace)
-                return trace
-            # A corrupt or truncated cache entry must not sink the whole
-            # experiment: report it, drop it, rebuild below.
-            from repro.exec.telemetry import count_corrupt_trace
-
-            count_corrupt_trace(disk_path)
-            disk_path.unlink(missing_ok=True)
-
-        spec = get_workload(workload)
-        budget = max(
-            1000, int(spec.default_accesses * self.scale * self.budget_fraction)
-        )
-        trace = build_trace(
-            spec, scale=self.scale, max_accesses=budget, seed=self.seed
-        )
-        _remember_trace(key, trace)
-        if disk_path is not None:
-            disk_path.parent.mkdir(parents=True, exist_ok=True)
-            write_trace(trace, disk_path)
-        return trace
+        return load_trace(workload, self.scale, self.budget_fraction,
+                          self.seed, self._disk_path(workload))[0]
 
     def _disk_path(self, workload: str) -> Path | None:
         if self.cache_dir is None:
             return None
-        from repro.exec.keys import trace_filename
-
         # The digest-based name is stable across processes and never
         # collides: raw float reprs (s0.30000000000000004) used to
         # produce both unstable and ambiguous names.
@@ -229,35 +262,13 @@ class GridRunner:
         identical grid; parallel runs and cache replays differ only in
         wall time.
         """
-        effective_jobs = jobs if jobs is not None else self.jobs
-        if effective_jobs is None:
-            effective_jobs = os.cpu_count() or 1
-        if (effective_jobs <= 1 and self._result_cache_root is None
-                and self.engine in ("auto", "fast")):
-            # The historical in-process loop; forcing "batch" or
-            # "reference" routes through the execution engine instead,
-            # which owns tier selection.
-            results: list[SimResult] = []
-            for workload in workloads:
-                for name in prefetchers:
-                    if progress is not None:
-                        progress(workload, name)
-                    results.append(self.run_one(workload, name))
-            return ResultGrid(results)
-        return self._run_grid_exec(workloads, prefetchers, effective_jobs,
-                                   progress)
-
-    def _run_grid_exec(
-        self,
-        workloads: Sequence[str],
-        prefetchers: Sequence[str],
-        jobs: int,
-        progress: Callable[[str, str], None] | None,
-    ) -> ResultGrid:
         from repro.exec import ExecOptions, GridPlan, ResultCache
-        from repro.exec import journal as journal_module
         from repro.exec.scheduler import execute_grid, quarantine_report
 
+        if jobs is None:
+            jobs = self.jobs
+        if jobs is None:
+            jobs = os.cpu_count() or 1
         cells = [(w, p) for w in workloads for p in prefetchers]
         todo = [cell for cell in cells if cell not in self._results]
         if todo:
@@ -269,7 +280,6 @@ class GridRunner:
                 retry_backoff=base.retry_backoff,
                 breaker_threshold=base.breaker_threshold,
                 engine=self.engine,
-                batch_threshold=base.batch_threshold,
             )
             plan = GridPlan(todo, self.scale, self.budget_fraction,
                             self.seed, self.config)
@@ -282,7 +292,6 @@ class GridRunner:
                     options=options,
                     cache=cache,
                     trace_dir=self.cache_dir,
-                    trace_provider=self.trace if jobs <= 1 else None,
                     progress=progress,
                     stats_path=self._stats_path(),
                     journal=journal,
@@ -419,4 +428,4 @@ def run_grid(
 
 def clear_trace_cache() -> None:
     """Drop the in-memory trace cache (tests use this for isolation)."""
-    _MEMORY_CACHE.clear()
+    _TRACE_CACHE.clear()

@@ -497,8 +497,6 @@ class Broker:
                 loop.call_soon_threadsafe(
                     self._emit, job, {"event": "cell-finished"})
 
-        trace_provider = (self._trace_provider(request, config)
-                          if self.workers <= 1 else None)
         self.counters["serve.batches"] += 1
         results, telemetry = await asyncio.to_thread(
             execute_grid,
@@ -506,7 +504,6 @@ class Broker:
             options=options,
             cache=self._cache,
             trace_dir=self.cache_dir,
-            trace_provider=trace_provider,
             progress=progress,
             pool=self._pool,
         )
@@ -525,27 +522,6 @@ class Broker:
                     "cell did not produce a result",
                 )
                 self._finish(job, error=reason)
-
-    def _trace_provider(self, request: SimulateRequest, config: SimConfig):
-        """A GridRunner-backed trace source for the in-process path.
-
-        Reuses the runner module's bounded trace LRU and the on-disk
-        trace cache, so a long-lived single-worker server amortizes
-        trace construction across requests instead of rebuilding per
-        batch.
-        """
-        from repro.harness.runner import GridRunner
-
-        runner = GridRunner(
-            config=config,
-            scale=request.scale,
-            budget_fraction=request.budget_fraction,
-            seed=request.seed,
-            cache_dir=self.cache_dir,
-            jobs=1,
-            result_cache=False,
-        )
-        return runner.trace
 
     def _finish(self, job: ServeJob, result: SimResult | None = None,
                 error: str | None = None) -> None:

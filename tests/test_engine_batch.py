@@ -18,7 +18,12 @@ import pytest
 from repro.check.diff import config_with_line_size, diff_batch
 from repro.common.errors import ConfigError
 from repro.exec import ExecOptions
-from repro.exec.scheduler import ENGINE_TIERS, execute_grid, _should_batch
+from repro.exec.scheduler import (
+    BATCH_THRESHOLD,
+    ENGINE_TIERS,
+    _should_batch,
+    execute_grid,
+)
 from repro.harness.registry import (
     EXTENDED_PREFETCHER_ORDER,
     PREFETCHER_FACTORIES,
@@ -146,17 +151,15 @@ class TestTierSelection:
     enough inject-free cells share a trace under ``auto``)."""
 
     def test_engine_tiers_constant(self):
-        assert ENGINE_TIERS == ("auto", "fast", "reference", "batch")
+        assert ENGINE_TIERS == ("auto", "fast", "batch")
 
     def test_should_batch_thresholds(self):
+        assert BATCH_THRESHOLD == 8
         assert not _should_batch(ExecOptions(engine="auto"), eligible=7)
         assert _should_batch(ExecOptions(engine="auto"), eligible=8)
-        assert _should_batch(
-            ExecOptions(engine="auto", batch_threshold=2), eligible=2)
         assert _should_batch(ExecOptions(engine="batch"), eligible=1)
+        assert not _should_batch(ExecOptions(engine="batch"), eligible=0)
         assert not _should_batch(ExecOptions(engine="fast"), eligible=50)
-        assert not _should_batch(ExecOptions(engine="reference"),
-                                 eligible=50)
 
     def test_forced_batch_matches_fast(self, fresh_trace_cache, tmp_path):
         plan = tiny_plan()
@@ -173,17 +176,21 @@ class TestTierSelection:
 
     def test_auto_below_threshold_stays_per_cell(self, fresh_trace_cache,
                                                  tmp_path):
+        prefetchers = EXTENDED_PREFETCHER_ORDER[:BATCH_THRESHOLD - 1]
         _, telemetry = execute_grid(
-            tiny_plan(), options=ExecOptions(jobs=1, engine="auto"),
+            tiny_plan(prefetchers=prefetchers),
+            options=ExecOptions(jobs=1, engine="auto"),
             trace_dir=tmp_path)
+        assert telemetry.sims_run == BATCH_THRESHOLD - 1
         assert telemetry.batched_cells == 0
 
     def test_auto_batches_at_threshold(self, fresh_trace_cache, tmp_path):
+        prefetchers = EXTENDED_PREFETCHER_ORDER[:BATCH_THRESHOLD]
         _, telemetry = execute_grid(
-            tiny_plan(),
-            options=ExecOptions(jobs=1, engine="auto", batch_threshold=2),
+            tiny_plan(prefetchers=prefetchers),
+            options=ExecOptions(jobs=1, engine="auto"),
             trace_dir=tmp_path)
-        assert telemetry.batched_cells == 2
+        assert telemetry.batched_cells == BATCH_THRESHOLD
 
     def test_pool_batch_matches_serial_batch(self, fresh_trace_cache,
                                              tmp_path):

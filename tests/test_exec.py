@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -185,20 +186,24 @@ class TestExecuteGrid:
         assert names == ["sim:nw:stride"]
         assert telemetry.quarantined[0]["attempts"] == 2
 
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_trace_failure_quarantines_dependents(self, fresh_trace_cache,
-                                                  tmp_path):
-        def broken_provider(workload):
-            raise ExecError(f"no trace for {workload}")
+                                                  tmp_path, monkeypatch,
+                                                  jobs):
+        def broken_build(spec, **_):
+            raise ExecError(f"no trace for {spec.name}")
 
+        monkeypatch.setattr(runner_module, "build_trace", broken_build)
+        options = ExecOptions(jobs=jobs, retry_backoff=0.0)
         results, telemetry = execute_grid(
-            tiny_plan(),
-            options=ExecOptions(jobs=1),
-            trace_dir=tmp_path,
-            trace_provider=broken_provider,
-        )
+            tiny_plan(), options=options, trace_dir=tmp_path)
         assert not results
         names = sorted(entry["task"] for entry in telemetry.quarantined)
         assert names == ["sim:nw:no-prefetch", "sim:nw:stride", "trace:nw"]
+        # Both job counts share one retry policy for trace builds.
+        trace_entry = next(entry for entry in telemetry.quarantined
+                           if entry["task"] == "trace:nw")
+        assert trace_entry["attempts"] == 1 + options.max_retries
 
     def test_worker_crash_quarantines_only_guilty(self, fresh_trace_cache,
                                                   tmp_path):
@@ -231,6 +236,51 @@ class TestExecuteGrid:
         names = [entry["task"] for entry in telemetry.quarantined]
         assert names == ["sim:nw:stride"]
         assert ("nw", "no-prefetch") in results
+
+    def test_timeout_ignores_queue_time(self, fresh_trace_cache, tmp_path):
+        # Six slow but healthy cells on two workers: each runs well inside
+        # the timeout, but the later ones wait behind the earlier ones.
+        # Only time spent running counts against the timeout.
+        prefetchers = ("no-prefetch", "stride", "sms", "ghb-pc/dc",
+                       "ghb-g/dc", "ampm")
+        slow = InjectSpec(mode="hang", times=1, hang_seconds=0.6)
+        results, telemetry = execute_grid(
+            tiny_plan(("nw",), prefetchers),
+            options=ExecOptions(jobs=2, timeout=1.0, max_retries=0,
+                                retry_backoff=0.0),
+            trace_dir=tmp_path,
+            inject=dict.fromkeys([("nw", p) for p in prefetchers], slow),
+        )
+        assert telemetry.timeouts == 0
+        assert not telemetry.quarantined
+        assert not telemetry.degraded
+        assert set(results) == {("nw", p) for p in prefetchers}
+
+    def test_in_process_hang_is_ignored(self, fresh_trace_cache, tmp_path):
+        started = time.monotonic()
+        results, telemetry = execute_grid(
+            tiny_plan(),
+            options=ExecOptions(jobs=1, timeout=1.0, retry_backoff=0.0),
+            trace_dir=tmp_path,
+            inject={("nw", "stride"): InjectSpec(mode="hang",
+                                                 hang_seconds=30.0)},
+        )
+        assert time.monotonic() - started < 15.0
+        assert len(results) == 2
+        assert telemetry.timeouts == 0
+        assert not telemetry.quarantined
+
+    def test_in_process_progress_is_grouped_by_workload(
+            self, fresh_trace_cache, tmp_path):
+        delivered = []
+        execute_grid(
+            tiny_plan(WORKLOADS, PREFETCHERS),
+            options=ExecOptions(jobs=1),
+            trace_dir=tmp_path,
+            progress=lambda workload, prefetcher: delivered.append(
+                (workload, prefetcher)),
+        )
+        assert delivered == [(w, p) for w in WORKLOADS for p in PREFETCHERS]
 
     def test_cache_replay_runs_zero_sims(self, fresh_trace_cache, tmp_path):
         cache = ResultCache(tmp_path / "results")
@@ -278,13 +328,18 @@ class TestTelemetry:
 
 class TestRunnerWiring:
     def test_memory_cache_is_bounded(self, fresh_trace_cache):
-        capacity = runner_module._MEMORY_CACHE_CAPACITY
-        for index in range(capacity + 4):
-            runner_module._remember_trace(("w", float(index), 1.0, 0), object())
-        assert len(runner_module._MEMORY_CACHE) == capacity
+        class TinyTrace:
+            events = [None]
+
+        capacity = runner_module._TRACE_CACHE_CAPACITY
+        keys = [runner_module.trace_key("w", float(index), 1.0, 0)
+                for index in range(capacity + 4)]
+        for key in keys:
+            runner_module._remember_trace(key, TinyTrace())
+        assert len(runner_module._TRACE_CACHE) == capacity
         # Oldest entries were evicted, newest kept.
-        assert ("w", 0.0, 1.0, 0) not in runner_module._MEMORY_CACHE
-        assert ("w", float(capacity + 3), 1.0, 0) in runner_module._MEMORY_CACHE
+        assert keys[0] not in runner_module._TRACE_CACHE
+        assert keys[-1] in runner_module._TRACE_CACHE
 
     def test_disk_path_is_stable_and_distinct(self, tmp_path):
         first = GridRunner(budget_fraction=0.1 + 0.2, cache_dir=tmp_path)
@@ -369,12 +424,14 @@ class TestRunnerWiring:
         assert warm_stats.cache_hits == cold_stats.sims_run
         assert warm.render() == cold.render()
 
-    def test_no_result_cache_keeps_legacy_path(self, fresh_trace_cache):
-        marker = telemetry_module.LAST_RUN = None
+    def test_no_result_cache_runs_through_scheduler(self, fresh_trace_cache):
+        telemetry_module.LAST_RUN = None
         grid = GridRunner(budget_fraction=0.02).run_grid(["nw"], ["stride"])
         assert grid.get("nw", "stride").prefetcher == "stride"
-        # jobs=1 with no cache never touches the exec scheduler.
-        assert telemetry_module.LAST_RUN is marker
+        # jobs=1 with no cache runs the same executor as every grid.
+        telemetry = telemetry_module.LAST_RUN
+        assert telemetry is not None
+        assert telemetry.jobs == 1 and telemetry.sims_run == 1
 
 
 class TestCliExec:
@@ -415,7 +472,7 @@ class TestCliExec:
 
 
 class TestWorkerTraceCacheBytes:
-    """The per-worker trace LRU is bounded by estimated total bytes."""
+    """The trace LRU is bounded by estimated total bytes."""
 
     def _fake_trace(self, events: int):
         # trace_nbytes only looks at len(trace.events); a stand-in with
@@ -427,41 +484,45 @@ class TestWorkerTraceCacheBytes:
         return FakeTrace(events)
 
     def test_byte_bound_evicts_oldest(self, monkeypatch):
-        from repro.exec import pool
-
-        monkeypatch.setattr(pool, "_TRACE_CACHE_MAX_BYTES", 100_000)
-        monkeypatch.setattr(pool, "_TRACE_CACHE", pool.OrderedDict())
+        monkeypatch.setattr(runner_module, "_TRACE_CACHE_MAX_BYTES", 100_000)
+        monkeypatch.setattr(runner_module, "_TRACE_CACHE",
+                            runner_module.OrderedDict())
         # Each ~33 KB trace fits; a fourth pushes the total over 100 KB.
         trace = self._fake_trace(events=200)
-        assert 30_000 < pool.trace_nbytes(trace) < 40_000
+        assert 30_000 < runner_module.trace_nbytes(trace) < 40_000
         for index in range(4):
-            pool._remember_trace(f"t{index}", self._fake_trace(events=200))
-        assert "t0" not in pool._TRACE_CACHE
-        assert "t3" in pool._TRACE_CACHE
-        total = sum(pool.trace_nbytes(t)
-                    for t in pool._TRACE_CACHE.values())
+            runner_module._remember_trace(f"t{index}",
+                                          self._fake_trace(events=200))
+        assert "t0" not in runner_module._TRACE_CACHE
+        assert "t3" in runner_module._TRACE_CACHE
+        total = sum(runner_module.trace_nbytes(t)
+                    for t in runner_module._TRACE_CACHE.values())
         assert total <= 100_000
 
     def test_single_oversized_trace_is_retained(self, monkeypatch):
-        from repro.exec import pool
-
-        monkeypatch.setattr(pool, "_TRACE_CACHE_MAX_BYTES", 1_000)
-        monkeypatch.setattr(pool, "_TRACE_CACHE", pool.OrderedDict())
-        pool._remember_trace("big", self._fake_trace(events=10_000))
+        monkeypatch.setattr(runner_module, "_TRACE_CACHE_MAX_BYTES", 1_000)
+        monkeypatch.setattr(runner_module, "_TRACE_CACHE",
+                            runner_module.OrderedDict())
+        runner_module._remember_trace("big", self._fake_trace(events=10_000))
         # Over budget, but the most recent entry always survives so
         # repeated sims of one oversized workload still hit the cache.
-        assert "big" in pool._TRACE_CACHE
-        pool._remember_trace("bigger", self._fake_trace(events=20_000))
-        assert "big" not in pool._TRACE_CACHE
-        assert "bigger" in pool._TRACE_CACHE
+        assert "big" in runner_module._TRACE_CACHE
+        runner_module._remember_trace("bigger",
+                                      self._fake_trace(events=20_000))
+        assert "big" not in runner_module._TRACE_CACHE
+        assert "bigger" in runner_module._TRACE_CACHE
 
     def test_count_bound_still_applies(self, monkeypatch):
-        from repro.exec import pool
-
-        monkeypatch.setattr(pool, "_TRACE_CACHE", pool.OrderedDict())
-        for index in range(pool._TRACE_CACHE_CAPACITY + 2):
-            pool._remember_trace(f"t{index}", self._fake_trace(events=1))
-        assert len(pool._TRACE_CACHE) == pool._TRACE_CACHE_CAPACITY
+        monkeypatch.setattr(runner_module, "_TRACE_CACHE",
+                            runner_module.OrderedDict())
+        capacity = runner_module._TRACE_CACHE_CAPACITY
+        for index in range(capacity + 2):
+            runner_module._remember_trace(f"t{index}",
+                                          self._fake_trace(events=1))
+        assert len(runner_module._TRACE_CACHE) == capacity
+        # Oldest entries were evicted, newest kept.
+        assert "t0" not in runner_module._TRACE_CACHE
+        assert f"t{capacity + 1}" in runner_module._TRACE_CACHE
 
 
 class TestSingleFlight:

@@ -28,6 +28,7 @@ from repro.exec.faults import (
 from repro.exec.keys import sim_key
 from repro.exec.scheduler import execute_grid, quarantine_report
 from repro.harness.report import format_table
+from repro.harness import runner as runner_module
 from repro.harness.runner import GridRunner, clear_trace_cache
 from repro.metrics.aggregate import ResultGrid
 from repro.sim.config import REDUCED_CONFIG
@@ -40,6 +41,10 @@ def _no_lingering_faults():
     faults.deactivate()
     yield
     faults.deactivate()
+
+
+def _broken_build(spec, **_):
+    raise ExecError(f"no trace for {spec.name}")
 
 
 def tiny_plan(workloads=("nw",), prefetchers=("no-prefetch", "stride")):
@@ -306,7 +311,7 @@ class TestDegradedSurface:
         assert "DEGRADED" in text
 
     def test_strict_runner_raises_on_quarantine(self, fresh_trace_cache,
-                                                tmp_path):
+                                                tmp_path, monkeypatch):
         from repro.exec.scheduler import ExecOptions as Options
 
         runner = GridRunner(
@@ -315,16 +320,14 @@ class TestDegradedSurface:
                                  breaker_threshold=1),
         )
         # Sabotage the trace build so every dependent sim degrades.
-        runner.trace = lambda workload: (_ for _ in ()).throw(
-            ExecError(f"no trace for {workload}"))
+        monkeypatch.setattr(runner_module, "build_trace", _broken_build)
         with pytest.raises(ExecError, match="quarantined"):
             runner.run_grid(["nw"], ["no-prefetch", "stride"])
 
     def test_lenient_runner_marks_degraded_cells(self, fresh_trace_cache,
-                                                 tmp_path):
+                                                 tmp_path, monkeypatch):
         runner = GridRunner(budget_fraction=0.02, jobs=1, cache_dir=tmp_path)
-        runner.trace = lambda workload: (_ for _ in ()).throw(
-            ExecError(f"no trace for {workload}"))
+        monkeypatch.setattr(runner_module, "build_trace", _broken_build)
         grid = runner.run_grid(["nw"], ["no-prefetch", "stride"])
         assert grid.degraded_cells == [("nw", "no-prefetch"), ("nw", "stride")]
         assert math.isnan(grid.get("nw", "stride").ipc)

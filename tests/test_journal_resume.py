@@ -291,6 +291,21 @@ class TestCli:
         assert "stride" in out
         assert telemetry_module.LAST_RUN.resumed_cells == 1
 
+    def test_unknown_resume_fails_alike_at_any_job_count(
+            self, fresh_trace_cache, tmp_path, capsys):
+        outcomes = []
+        for flags in (["--jobs", "1", "--no-result-cache"], ["--jobs", "2"]):
+            code = main([
+                "run", "--workload", "nw", "--prefetcher", "stride",
+                "--budget-fraction", "0.02", "--cache-dir", str(tmp_path),
+                "--resume", "no-such-run", *flags,
+            ])
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        code, err = outcomes[0]
+        assert code == 1
+        assert "no-such-run" in err
+
     def test_verify_artifacts_clean(self, fresh_trace_cache, tmp_path,
                                     capsys):
         assert self._run(tmp_path) == 0
